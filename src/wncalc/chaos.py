@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .legendre import dual_weight, legendre_transform, log_factorial
+from .legendre import dual_of, legendre_transform, log_factorial
 from .weights import CONSISTENT, VIOLATED, WeightFunction
 
 ROLE_TEST = "test"
@@ -66,6 +66,7 @@ class FiniteGaussianModel:
     indices: np.ndarray = field(init=False, repr=False, compare=False)
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
     log_mult: np.ndarray = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1 or self.N < 0:
@@ -148,25 +149,15 @@ def mode_norm(phi: ChaosVector, n: int, p: float) -> float:
     return math.sqrt(float(np.sum(np.exp(w) * np.abs(phi.coeffs[mask]) ** 2)))
 
 
-_ELL_CACHE: dict = {}
-
-
 def log_ell_sequence(u: WeightFunction, n_max: int) -> np.ndarray:
-    key = (id(u), n_max)
-    if key not in _ELL_CACHE:
-        _ELL_CACHE[key] = np.array(
+    """log ell_u(n) for n <= n_max, memoized on u."""
+    key = ("log_ell", n_max)
+    seq = u._memo.get(key)
+    if seq is None:
+        seq = u._memo[key] = np.array(
             [legendre_transform(u, float(n)).log_value for n in range(n_max + 1)]
         )
-    return _ELL_CACHE[key]
-
-
-_DUAL_CACHE: dict = {}
-
-
-def dual_of(u: WeightFunction) -> WeightFunction:
-    if id(u) not in _DUAL_CACHE:
-        _DUAL_CACHE[id(u)] = (dual_weight(u), u)
-    return _DUAL_CACHE[id(u)][0]
+    return seq
 
 
 def weighted_norm(phi: ChaosVector, log_ell: np.ndarray, p: float) -> float:
@@ -218,23 +209,20 @@ def coherent_state(model: FiniteGaussianModel, xi, role: str = ROLE_TEST) -> Cha
     return ChaosVector(model=model, coeffs=c, role=role)
 
 
-_MONOMIAL_CACHE: dict = {}
-
-
 def _monomials(model: FiniteGaussianModel, xis: np.ndarray) -> np.ndarray:
     """xi^m for each sample row and multi-index: (S, K) complex.
 
     Repeated transforms of many vectors against one probe sample dominate
-    the bound-check suites, so the matrix is memoized on the sample bytes.
+    the bound-check suites, so the model keeps the matrix of the last
+    sample it saw.
     """
     xis = np.atleast_2d(np.asarray(xis, dtype=complex))
-    key = (id(model), xis.shape, hash(xis.tobytes()))
-    hit = _MONOMIAL_CACHE.get(key)
-    if hit is None:
-        hit = np.prod(xis[:, None, :] ** model.indices[None, :, :], axis=2)
-        _MONOMIAL_CACHE.clear()  # keep at most one probe sample resident
-        _MONOMIAL_CACHE[key] = hit
-    return hit
+    key = (xis.shape, xis.tobytes())
+    hit = model._memo.get("monomials")
+    if hit is None or hit[0] != key:
+        hit = (key, np.prod(xis[:, None, :] ** model.indices[None, :, :], axis=2))
+        model._memo["monomials"] = hit
+    return hit[1]
 
 
 def s_transform(Phi: ChaosVector, xi) -> complex:

@@ -9,6 +9,11 @@ of the objective in y.
 ``dual_weight`` materializes u* as a WeightFunction backed by a memoized
 geometric grid with monotone (PCHIP) interpolation, so that transforms of
 transforms (the dual-sequence relation) stay tractable.
+
+``dual_of(u)`` is the one u* of a weight object: the default-grid
+``dual_weight(u)``, built on first use and kept on u, so the dual-sequence
+check and the distribution-side chaos bounds grade against the same u*.
+A call of ``dual_weight(u, ...)`` with a custom grid is not memoized.
 """
 
 from __future__ import annotations
@@ -135,6 +140,18 @@ def dual_weight(
     )
 
 
+def dual_of(u: WeightFunction) -> WeightFunction:
+    """The default-grid u* of this weight object, built once and kept on u.
+
+    Only ``dual_weight(u)`` with its default grid is memoized here; call
+    ``dual_weight`` directly for a custom grid (that result is not kept).
+    """
+    ustar = u._memo.get("dual")
+    if ustar is None:
+        ustar = u._memo["dual"] = dual_weight(u)
+    return ustar
+
+
 # ---------------------------------------------------------------------------
 # tables and audits
 
@@ -258,17 +275,12 @@ def seq_equivalent(
 def verify_dual_sequence(
     u: WeightFunction,
     n_max: int,
-    ustar: WeightFunction | None = None,
     drift_tol: float = DRIFT_TOL,
 ) -> EquivalenceReport:
-    """Check ell_{u*}(n) ell_u(n) (n!)^2 ~ 1 on n <= n_max.
-
-    u* is constructed numerically unless supplied.
-    """
+    """Check ell_{u*}(n) ell_u(n) (n!)^2 ~ 1 on n <= n_max, with u* = dual_of(u)."""
     if n_max < 10:
         raise ValueError("n_max must be >= 10")
-    if ustar is None:
-        ustar = dual_weight(u)
+    ustar = dual_of(u)
     rho = []
     for n in range(n_max + 1):
         l_u = legendre_transform(u, n).log_value

@@ -240,8 +240,8 @@ def validate_sampler(model: MeasureModel, n: int = 100_000, n_probes: int = 8,
                      sigma_gate: float = 4.0, rng=None) -> dict:
     """Empirical characteristic function vs the analytic functional.
 
-    Raises SamplerValidationError when any probe deviates by more than
-    sigma_gate Monte Carlo standard errors.
+    Raises SamplerValidationError when any draw is not finite, or when any
+    probe deviates by more than sigma_gate Monte Carlo standard errors.
     """
     if rng is None:
         rng = np.random.default_rng(model.sampler_seed)
@@ -252,6 +252,13 @@ def validate_sampler(model: MeasureModel, n: int = 100_000, n_probes: int = 8,
     rows = []
     for xi in probes:
         w = x @ xi
+        # a draw with a NaN or inf entry projects to a non-finite w; its NaN
+        # z-score would drop out of the max and pass the gate silently
+        bad = int(np.count_nonzero(~np.isfinite(w)))
+        if bad:
+            raise SamplerValidationError(
+                f"{model.kind} sampler: {bad} of {n} draws are not finite"
+            )
         exact = model.char_fn(xi)
         emp_re, emp_im = float(np.mean(np.cos(w))), float(np.mean(np.sin(w)))
         se_re = float(np.std(np.cos(w)) / math.sqrt(n)) or 1e-300

@@ -122,6 +122,10 @@ class WeightFunction:
     params: dict = field(default_factory=dict)
     u_at_zero: float = 1.0
     increasing: bool = True
+    # values derived from this weight (its u*, its ell sequences), owned by
+    # the object so they die with it; the leading underscore keeps them out
+    # of reports
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def log_eval(self, r: float) -> float:
         if r < 0:

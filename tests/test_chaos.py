@@ -20,10 +20,11 @@ from wncalc.chaos import (
     point_eval,
     s_from_t,
     s_transform,
+    s_transform_many,
     t_transform,
     weighted_norm,
 )
-from wncalc.legendre import log_factorial
+from wncalc.legendre import legendre_transform, log_factorial
 from wncalc.weights import power_exp
 
 
@@ -190,3 +191,33 @@ class TestBounds:
             Phi = random_vector(model, rng, chaos.ROLE_DISTRIBUTION)
             rep = check_dist_bound(Phi, u, a=0.1, p=0.0, q=2.0, sample=sample)
             assert rep.verdict == "consistent"
+
+
+class TestObjectMemos:
+    def test_ell_sequence_of_a_new_weight_is_never_a_dead_ones(self):
+        # each weight dies before the next is built, so its address (and a
+        # memo keyed on it) is free for reuse by a weight of another beta
+        want = {
+            beta: [legendre_transform(power_exp(beta), float(n)).log_value
+                   for n in range(7)]
+            for beta in (0.0, 0.9)
+        }
+        for i in range(200):
+            beta = (0.0, 0.9)[i % 2]
+            got = chaos.log_ell_sequence(power_exp(beta), 6)
+            assert got.tolist() == want[beta]
+
+    def test_monomials_of_a_new_model_match_its_coherent_states(self):
+        rng = np.random.default_rng(11)
+        xis = gaussian_sample(rng, 2, 2)
+
+        def check(N):
+            # the model dies on return, before the next one is built
+            model = FiniteGaussianModel(d=2, N=N)
+            Phi = random_vector(model, rng, chaos.ROLE_DISTRIBUTION)
+            got = s_transform_many(Phi, xis)
+            want = [pairing(Phi, coherent_state(model, xi)) for xi in xis]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+        for i in range(40):
+            check((3, 5)[i % 2])

@@ -48,6 +48,19 @@ class TestExitCodes:
         code, _ = run_cli(["classify", "--config", str(bad)], capsys)
         assert code == 1
 
+    def test_unbounded_transform_exits_one_with_one_line(self, capsys):
+        # the infimum for t >= 7 still decreases at r_max = 10
+        assert run(["legendre", "--r-max", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: inf of power_exp")
+        assert captured.err.count("\n") == 1
+
+    def test_tower_overflow_exits_one_with_one_line(self, capsys):
+        assert run(["classify", "--family", "bell", "--order", "14"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: tower depth 9 exceeds 8\n"
+
 
 class TestReports:
     def test_spec_shape(self, capsys):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from wncalc import chaos, legendre
+from wncalc.cli import _jsonable
 from wncalc.legendre import (
     UnboundedError,
     audit_infimum,
     audit_supremum,
     dual_function,
+    dual_of,
     dual_weight,
     legendre_table,
     legendre_transform,
@@ -139,3 +142,25 @@ class TestDualSequence:
 def test_log_factorial_matches_lgamma():
     for n in (0, 1, 10, 63, 64, 200):
         assert log_factorial(n) == pytest.approx(math.lgamma(n + 1.0), rel=1e-12)
+
+
+class TestDualOf:
+    def test_one_dual_weight_build_per_weight_object(self, monkeypatch):
+        builds = []
+
+        def counting_dual_weight(u, *args, **kwargs):
+            builds.append(u)
+            return dual_weight(u, *args, **kwargs)
+
+        monkeypatch.setattr(legendre, "dual_weight", counting_dual_weight)
+        u = power_exp(0.0)
+        verify_dual_sequence(u, 10)
+        ustar = dual_of(u)
+        assert builds == [u]
+        assert dual_of(u) is ustar
+        assert chaos.dual_of(u) is ustar
+
+    def test_memo_stays_out_of_reports(self):
+        u = power_exp(0.0)
+        dual_of(u)
+        assert set(_jsonable(u)) == {"name", "r_max", "params", "u_at_zero", "increasing"}

@@ -109,6 +109,17 @@ class TestSamplers:
         with pytest.raises(SamplerValidationError):
             validate_sampler(m, n=50_000)
 
+    def test_validation_rejects_non_finite_draws(self):
+        # near lambda = 1 the Kanter draws overflow to inf/NaN; their NaN
+        # z-scores must not let the sampler pass the gate
+        m = MeasureModel(kind="grey", d=6, lam=0.99, sampler_seed=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bad = int(np.count_nonzero(~np.isfinite(sample(m, 100_000)).all(axis=1)))
+            assert bad > 0
+            with pytest.raises(SamplerValidationError,
+                               match=f"{bad} of 100000 draws are not finite"):
+                validate_sampler(m, n=100_000)
+
 
 class TestIntegrability:
     def test_trivial_weight_converges_to_one(self):
