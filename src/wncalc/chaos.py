@@ -66,27 +66,27 @@ class FiniteGaussianModel:
     indices: np.ndarray = field(init=False, repr=False, compare=False)
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
     log_mult: np.ndarray = field(init=False, repr=False, compare=False)
+    # log n! for n = 0..N, looked up by degree
+    log_factorials: np.ndarray = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1 or self.N < 0:
             raise ValueError("need d >= 1 and N >= 0")
-        rows = []
+        lf = [log_factorial(n) for n in range(self.N + 1)]
+        rows, lm = [], []
         for n in range(self.N + 1):
             for combo in itertools.combinations_with_replacement(range(self.d), n):
                 m = [0] * self.d
                 for j in combo:
                     m[j] += 1
                 rows.append(m)
+                lm.append(lf[n] - sum(lf[mj] for mj in m))
         idx = np.array(rows, dtype=np.int64).reshape(len(rows), self.d)
-        deg = idx.sum(axis=1)
-        lm = np.array([
-            log_factorial(int(n)) - sum(log_factorial(int(mj)) for mj in row)
-            for n, row in zip(deg, idx)
-        ])
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "degrees", deg)
-        object.__setattr__(self, "log_mult", lm)
+        object.__setattr__(self, "degrees", idx.sum(axis=1))
+        object.__setattr__(self, "log_mult", np.array(lm))
+        object.__setattr__(self, "log_factorials", np.array(lf))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -124,9 +124,6 @@ class ChaosVector:
 
     def as_distribution(self) -> "ChaosVector":
         return replace(self, role=ROLE_DISTRIBUTION)
-
-    def degree_slice(self, n: int) -> np.ndarray:
-        return self.coeffs[self.model.degrees == n]
 
 
 def chaos_vector(model: FiniteGaussianModel, entries: dict, role: str = ROLE_TEST) -> ChaosVector:
@@ -190,7 +187,7 @@ def pairing(Phi: ChaosVector, phi: ChaosVector) -> complex:
     if Phi.role != ROLE_DISTRIBUTION or phi.role != ROLE_TEST:
         raise ValueError("pairing expects (distribution, test)")
     model = phi.model
-    w = np.exp(np.array([log_factorial(int(n)) for n in model.degrees]) + model.log_mult)
+    w = np.exp(model.log_factorials[model.degrees] + model.log_mult)
     return complex(np.sum(w * Phi.coeffs * phi.coeffs))
 
 
@@ -284,17 +281,6 @@ def point_eval(phi: ChaosVector, X: np.ndarray) -> np.ndarray:
     for j in range(model.d):
         P *= H[:, j, :][:, model.indices[:, j]]
     return P @ (np.exp(model.log_mult) * phi.coeffs)
-
-
-def sup_norm_A(phi: ChaosVector, u: WeightFunction, p: float, sample: np.ndarray) -> float:
-    """Empirical sup of |phi(x)| u(|x|^2_{-p})^{-1/2} over the sample rows."""
-    model = phi.model
-    X = np.atleast_2d(np.asarray(sample, dtype=float))
-    vals = np.abs(point_eval(phi, X))
-    wneg = model.eigenvalues ** (-2.0 * p)
-    norms2 = (X**2) @ wneg
-    ratios = vals * np.exp(-0.5 * np.array([u.log_eval(r) for r in norms2]))
-    return float(np.max(ratios))
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ def _cmd_duality(args, seed):
 def _cmd_bell(args, seed):
     seq = sequences.bell_numbers(args.order, args.count - 1)
     if args.json:
-        return {"order": args.order, "log_values": seq.log_values}, vars(args)
+        return ({"order": args.order, "log_values": seq.log_values},
+                {"order": args.order, "count": args.count, "json": True})
     if seq.exact_values is not None and args.order <= 2:
         lines = [str(v) for v in seq.exact_values]
     else:
@@ -169,7 +170,7 @@ def _cmd_weights_admissible(args, seed):
 def _random_vector(model, rng, role):
     c = rng.standard_normal(model.n_coeffs) + 1j * rng.standard_normal(model.n_coeffs)
     # damp high degrees so norms stay in floating range
-    c *= np.exp(-np.array([legendre.log_factorial(int(n)) for n in model.degrees]))
+    c *= np.exp(-model.log_factorials[model.degrees])
     return chaos.ChaosVector(model=model, coeffs=c, role=role)
 
 
@@ -210,7 +211,9 @@ def _cmd_positive_definite(args, seed):
         reports.append(_jsonable(
             measures.check_positive_definite(model.char_fn, pts, tol=args.tol)
         ))
-    return {"model": _jsonable(model), "gram_reports": reports}, vars(args)
+    config = {"model": args.model, "lam": args.lam, "intensity": args.intensity,
+              "dim": args.dim, "points": args.points, "sets": args.sets, "tol": args.tol}
+    return {"model": _jsonable(model), "gram_reports": reports}, config
 
 
 def _cmd_integrability(args, seed):

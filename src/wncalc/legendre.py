@@ -6,9 +6,19 @@ work on ``y = log r`` with a coarse scan, bracketing and golden-section
 refinement, since (log, x^2)-convexity of u does not guarantee convexity
 of the objective in y.
 
+Every solve on one weight scans the same 65 points y_i of
+``optimize.scan_grid``, so the weight keeps one table of ``exp(y_i/2)``
+and ``log u(e^{y_i})`` in ``u._memo``: each solve forms its scan values
+from the table and calls ``log u`` only in the golden-section refinement.
+The values are the ones the objective itself would return, bit for bit.
+
 ``dual_weight`` materializes u* as a WeightFunction backed by a memoized
 geometric grid with monotone (PCHIP) interpolation, so that transforms of
-transforms (the dual-sequence relation) stay tractable.
+transforms (the dual-sequence relation) stay tractable.  The PCHIP
+coefficients are computed here in numpy with the steps and the operation
+order of ``scipy.interpolate.PchipInterpolator`` (``extrapolate=False``),
+and a scalar is evaluated in plain Python as scipy's ``PPoly`` does, so the
+values are scipy's to the bit without importing scipy.
 
 ``dual_of(u)`` is the one u* of a weight object: the default-grid
 ``dual_weight(u)``, built on first use and kept on u, so the dual-sequence
@@ -18,12 +28,12 @@ A call of ``dual_weight(u, ...)`` with a custom grid is not memoized.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import optimize
 from .weights import (
@@ -58,16 +68,34 @@ def _safe_log_eval(u: WeightFunction, r: float) -> float:
         return math.inf
 
 
+def _scan_table(u: WeightFunction) -> tuple[list[float], list[float], list[float]]:
+    """The coarse scan shared by every solve on u: y_i, exp(y_i/2), log u(e^{y_i}).
+
+    Built on first use and kept on u.
+    """
+    table = u._memo.get("scan")
+    if table is None:
+        ys = optimize.scan_grid(_Y_LO, math.log(u.r_max))
+        table = u._memo["scan"] = (
+            ys,
+            [math.exp(0.5 * y) for y in ys],
+            [_safe_log_eval(u, math.exp(y)) for y in ys],
+        )
+    return table
+
+
 def legendre_transform(u: WeightFunction, t: float) -> TransformResult:
     """log of inf_{r>0} u(r)/r^t, with the minimizer r*."""
     if t < 0:
         raise ValueError("t must be >= 0")
     y_hi = math.log(u.r_max)
+    ys, _, logs = _scan_table(u)
 
     def g(y: float) -> float:
         return _safe_log_eval(u, math.exp(y)) - t * y
 
-    res = optimize.minimize_scalar(g, _Y_LO, y_hi)
+    scan = [l - t * y for y, l in zip(ys, logs)]
+    res = optimize.minimize_scalar(g, _Y_LO, y_hi, scan_values=scan)
     if res.status == optimize.STATUS_UPPER_BOUNDARY and t > 0:
         raise UnboundedError(
             f"inf of {u.name}(r)/r^{t} still decreasing at r_max={u.r_max}"
@@ -81,11 +109,13 @@ def dual_function(u: WeightFunction, r: float) -> TransformResult:
         raise ValueError("r must be >= 0")
     y_hi = math.log(u.r_max)
     sqrt_r = math.sqrt(r)
+    _, halves, logs = _scan_table(u)
 
     def h(y: float) -> float:
         return -(2.0 * sqrt_r * math.exp(0.5 * y) - _safe_log_eval(u, math.exp(y)))
 
-    res = optimize.minimize_scalar(h, _Y_LO, y_hi)
+    scan = [-(2.0 * sqrt_r * e - l) for e, l in zip(halves, logs)]
+    res = optimize.minimize_scalar(h, _Y_LO, y_hi, scan_values=scan)
     if res.status == optimize.STATUS_UPPER_BOUNDARY and r > 0:
         raise UnboundedError(
             f"sup of exp(2 sqrt({r} s))/{u.name}(s) still increasing at r_max={u.r_max};"
@@ -96,6 +126,72 @@ def dual_function(u: WeightFunction, r: float) -> TransformResult:
 
 # ---------------------------------------------------------------------------
 # materialized dual weight
+
+
+def _pchip_edge_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving (scipy's _edge_case)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic coefficients (4, n-1) of the PCHIP interpolant of y on the
+    strictly increasing float knots x (at least two).
+
+    Row k multiplies (x - x_i)^(3-k) on [x_i, x_{i+1}].  The slopes follow
+    Fritsch and Butland's weighted harmonic mean with Moler's one-sided end
+    slopes, two points interpolate linearly, and every step repeats the
+    arithmetic of scipy's PchipInterpolator and CubicHermiteSpline in the
+    same order, so the coefficients equal scipy's bit for bit.
+    """
+    if not np.all(np.isfinite(y)):
+        raise ValueError("PCHIP values must be finite")
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    if len(y) == 2:
+        dk = np.array([mk[0], mk[0]])
+    else:
+        smk = np.sign(mk)
+        flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1 = 2 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2 * hk[:-1]
+        # division by zero only where `flat` already zeroes the slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dk = np.zeros_like(y)
+        dk[1:-1][~flat] = 1.0 / whmean[~flat]
+        dk[0] = _pchip_edge_slope(hk[0], hk[1], mk[0], mk[1])
+        dk[-1] = _pchip_edge_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]))
+
+
+class _Pchip:
+    """Scalar PCHIP interpolant on knots x, NaN outside [x_0, x_{n-1}].
+
+    Stands in for ``PchipInterpolator(x, y, extrapolate=False)``: it finds
+    the interval as scipy's ``PPoly`` does and sums the cubic in its order.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        c0, c1, c2, c3 = _pchip_coefficients(x, y)
+        self.knots = x.tolist()
+        # PPoly sums from 0.0, which turns a -0.0 constant term into +0.0
+        self.pieces = list(zip(c0.tolist(), c1.tolist(), c2.tolist(), (c3 + 0.0).tolist()))
+
+    def __call__(self, x: float) -> float:
+        knots = self.knots
+        if not knots[0] <= x <= knots[-1]:
+            return math.nan
+        # the interval [x_i, x_{i+1}) holding x; the last one is closed
+        i = min(bisect.bisect_right(knots, x) - 1, len(knots) - 2)
+        s = x - knots[i]
+        c0, c1, c2, c3 = self.pieces[i]
+        return ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
 
 
 class _DualCache:
@@ -113,7 +209,7 @@ class _DualCache:
         )
         # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
         vals = np.maximum.accumulate(vals)
-        self._values = PchipInterpolator(self.log_r, vals, extrapolate=False)
+        self._values = _Pchip(self.log_r, vals)
 
     def __call__(self, r: float) -> float:
         if self._values is None:
@@ -121,8 +217,8 @@ class _DualCache:
         x = math.log(r)
         if x < self.log_r[0]:
             # below the cache: u* continuous with u*(0) = 1, interpolate to 0
-            return float(self._values(self.log_r[0])) * (r / math.exp(self.log_r[0]))
-        return float(self._values(x))
+            return self._values(self._values.knots[0]) * (r / math.exp(self.log_r[0]))
+        return self._values(x)
 
 
 def dual_weight(

@@ -213,11 +213,14 @@ def _stable_one_sided(lam: float, size: int, rng) -> np.ndarray:
     """One-sided stable draws with Laplace transform exp(-u^lam) (Kanter)."""
     U = rng.uniform(0.0, math.pi, size)
     E = rng.exponential(1.0, size)
-    a = (
-        np.sin((1.0 - lam) * U)
-        * np.sin(lam * U) ** (lam / (1.0 - lam))
-        / np.sin(U) ** (1.0 / (1.0 - lam))
-    )
+    # from lam ~ 0.984 the last factor underflows to 0; the inf and nan draws
+    # that follow are rejected by validate_sampler, so numpy need not warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (
+            np.sin((1.0 - lam) * U)
+            * np.sin(lam * U) ** (lam / (1.0 - lam))
+            / np.sin(U) ** (1.0 / (1.0 - lam))
+        )
     return (a / E) ** ((1.0 - lam) / lam)
 
 

@@ -47,6 +47,14 @@ def golden_section(f, a: float, b: float, tol: float = 1e-12, max_iter: int = 25
     return x, f(x), evals + 1
 
 
+def scan_grid(lo: float, hi: float, coarse: int = 65) -> list[float]:
+    """The uniform coarse-scan grid of ``minimize_scalar`` on [lo, hi]."""
+    if not hi > lo:
+        raise ValueError(f"empty search interval [{lo}, {hi}]")
+    step = (hi - lo) / (coarse - 1)
+    return [lo + i * step for i in range(coarse)]
+
+
 def minimize_scalar(
     f,
     lo: float,
@@ -54,6 +62,7 @@ def minimize_scalar(
     coarse: int = 65,
     multi_start: int = 4,
     tol: float = 1e-12,
+    scan_values: list[float] | None = None,
 ) -> ScalarMinResult:
     """Global-ish minimum of f on [lo, hi].
 
@@ -61,13 +70,22 @@ def minimize_scalar(
     scan, and refines each bracket with golden-section search.  The status
     flags when the best point sits on a boundary of the search interval,
     which callers interpret as evidence of an unbounded objective.
+
+    ``scan_values``, when given, are f on ``scan_grid(lo, hi, coarse)``,
+    computed by the caller (for instance from a per-weight table); f is then
+    called only by the refinement.  ``evaluations`` counts the calls of f
+    made here, so it leaves out a supplied scan.
     """
-    if not hi > lo:
-        raise ValueError(f"empty search interval [{lo}, {hi}]")
+    xs = scan_grid(lo, hi, coarse)
     step = (hi - lo) / (coarse - 1)
-    xs = [lo + i * step for i in range(coarse)]
-    vals = [f(x) for x in xs]
-    evals = coarse
+    if scan_values is None:
+        vals = [f(x) for x in xs]
+        evals = coarse
+    else:
+        if len(scan_values) != coarse:
+            raise ValueError(f"need {coarse} scan values, got {len(scan_values)}")
+        vals = scan_values
+        evals = 0
 
     # local minima of the scan (including endpoints)
     candidates = []

@@ -250,3 +250,20 @@ def test_13_determinism():
     ok = out1 == out2 == out8 and json.loads(out1)["seed"] == 7
     report(13, ok, "verify-all --seed 7 byte-identical across two runs "
                    "and thread counts {1, 8}")
+
+
+def test_13b_determinism_of_configs_with_flags():
+    # the config digest must not see anything of the parsed arguments
+    # that differs between processes, such as a function's address
+    def run_cli(args):
+        res = subprocess.run([sys.executable, "-m", "wncalc.cli", *args],
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        return res.stdout
+
+    pd = ["positive-definite", "--model", "grey", "--lambda", "0.6",
+          "--points", "4", "--sets", "1"]
+    bell = ["bell", "--order", "2", "--count", "6", "--json"]
+    ok = run_cli(pd) == run_cli(pd) and run_cli(bell) == run_cli(bell)
+    report("13b", ok, "positive-definite and bell --json byte-identical "
+                      "across two runs")

@@ -48,6 +48,14 @@ class TestModel:
     def test_eigenvalues(self, model):
         assert model.eigenvalues.tolist() == [2.0, 4.0, 6.0]
 
+    def test_log_factorial_table_gives_the_multiplicities(self, model):
+        assert model.log_factorials.tolist() == [log_factorial(n) for n in range(7)]
+        want = [
+            log_factorial(int(n)) - sum(log_factorial(int(mj)) for mj in m)
+            for n, m in zip(model.degrees, model.indices)
+        ]
+        assert model.log_mult.tolist() == want
+
     def test_index_lookup(self, model):
         i = model.index_of((1, 2, 0))
         assert model.indices[i].tolist() == [1, 2, 0]

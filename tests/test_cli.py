@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +62,34 @@ class TestExitCodes:
         assert run(["classify", "--family", "bell", "--order", "14"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: tower depth 9 exceeds 8\n"
+
+    def test_precision_error_exits_one_with_one_line(self, capsys):
+        # log u_4 = exp_3(r) - exp_3(0) leaves double range inside the grid
+        assert run(["classify", "--family", "bell", "--order", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: value exp^1(")
+        assert captured.err.count("\n") == 1
+
+    def test_sampler_validation_error_exits_one_with_one_line(self):
+        # a subprocess, so that numpy warnings would reach the stderr we read
+        res = subprocess.run(
+            [sys.executable, "-m", "wncalc.cli", "integrability", "--model", "grey",
+             "--lambda", "0.99", "--beta", "0.01"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: grey sampler: 16 of 100000 draws are not finite\n"
+
+
+def test_cli_import_needs_no_scipy():
+    code = ("import sys, wncalc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 class TestReports:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wncalc import chaos, legendre
+from wncalc import chaos, legendre, optimize
 from wncalc.cli import _jsonable
 from wncalc.legendre import (
     UnboundedError,
@@ -18,7 +18,7 @@ from wncalc.legendre import (
     seq_equivalent,
     verify_dual_sequence,
 )
-from wncalc.weights import CONSISTENT, VIOLATED, from_callable, power_exp
+from wncalc.weights import CONSISTENT, VIOLATED, bell_weight, from_callable, power_exp
 
 
 def closed_form_ell(beta: float, n: float) -> float:
@@ -164,3 +164,164 @@ class TestDualOf:
         u = power_exp(0.0)
         dual_of(u)
         assert set(_jsonable(u)) == {"name", "r_max", "params", "u_at_zero", "increasing"}
+
+
+class TestSharedScan:
+    """Solves that take their coarse scan from the per-weight table return
+    what the scanning optimizer returns on the objective itself."""
+
+    WEIGHTS = {
+        "power_exp(0.3)": lambda: power_exp(0.3),
+        "bell(2)": lambda: bell_weight(2),
+        # log u overflows near r_max = 800, so the table holds inf
+        "bell(2) to 800": lambda: bell_weight(2, r_max=800.0),
+        "u* of power_exp(0)": lambda: dual_weight(power_exp(0.0), per_decade=16),
+    }
+
+    @staticmethod
+    def untabled(u, objective):
+        return optimize.minimize_scalar(objective, legendre._Y_LO, math.log(u.r_max))
+
+    @pytest.mark.parametrize("name", list(WEIGHTS))
+    def test_legendre_transform_matches_the_scanning_optimizer(self, name):
+        u = self.WEIGHTS[name]()
+        for t in (0.0, 1.0, 2.5, 7.0, 20.0):
+            ref = self.untabled(
+                u, lambda y: legendre._safe_log_eval(u, math.exp(y)) - t * y
+            )
+            got = legendre_transform(u, t)
+            assert got == legendre.TransformResult(ref.value, math.exp(ref.x), ref.status)
+
+    @pytest.mark.parametrize("name", list(WEIGHTS))
+    def test_dual_function_matches_the_scanning_optimizer(self, name):
+        u = self.WEIGHTS[name]()
+        for r in (0.0, 1e-6, 0.3, 4.0, 50.0):
+            sqrt_r = math.sqrt(r)
+            ref = self.untabled(u, lambda y: -(
+                2.0 * sqrt_r * math.exp(0.5 * y) - legendre._safe_log_eval(u, math.exp(y))
+            ))
+            got = dual_function(u, r)
+            assert got == legendre.TransformResult(-ref.value, math.exp(ref.x), ref.status)
+
+    def test_table_holds_inf_where_log_u_overflows(self):
+        u = bell_weight(2, r_max=800.0)
+        legendre_transform(u, 1.0)
+        assert math.inf in u._memo["scan"][2]
+
+    def test_evaluations_count_only_the_refinement(self):
+        u = power_exp(0.3)
+        ys, _, logs = legendre._scan_table(u)
+
+        def g(y):
+            return legendre._safe_log_eval(u, math.exp(y)) - 2.0 * y
+
+        ref = self.untabled(u, g)
+        got = optimize.minimize_scalar(
+            g, legendre._Y_LO, math.log(u.r_max),
+            scan_values=[l - 2.0 * y for y, l in zip(ys, logs)],
+        )
+        assert (got.x, got.value, got.status) == (ref.x, ref.value, ref.status)
+        assert got.evaluations == ref.evaluations - len(ys)
+
+    def test_scan_values_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            optimize.minimize_scalar(abs, -1.0, 1.0, scan_values=[0.0] * 64)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestPchipMatchesScipy:
+    """The numpy PCHIP reproduces scipy's PchipInterpolator bit for bit."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.4])
+    def test_dual_cache_values_and_coefficients(self, beta):
+        from scipy.interpolate import PchipInterpolator
+
+        u = power_exp(beta)
+        ustar = dual_weight(u, per_decade=16)
+        cache = ustar._log_eval
+        x = cache.log_r
+        vals = np.maximum.accumulate(
+            np.array([dual_function(u, math.exp(v)).log_value for v in x])
+        )
+        ref = PchipInterpolator(x, vals, extrapolate=False)
+        assert _bits(legendre._pchip_coefficients(x, vals)) == _bits(ref.c)
+
+        rng = np.random.default_rng(11)
+        queries = np.concatenate([
+            rng.uniform(x[0], x[-1], 2000),
+            x,
+            np.nextafter(x[:-1], np.inf),
+            np.nextafter(x[1:], -np.inf),
+        ]).tolist()
+        # through the weight, which builds the cache: u*(r) is the interpolant at log r
+        rs = np.geomspace(1e-8, 1e8, 50)[1:-1].tolist()
+        assert _bits([ustar.log_eval(r) for r in rs]) == _bits(
+            [float(ref(math.log(r))) for r in rs]
+        )
+        assert _bits([cache._values(q) for q in queries]) == _bits(
+            [float(ref(q)) for q in queries]
+        )
+
+        # below the grid: linear in r down to u*(0) = 1
+        for r in (1e-9, 3e-12, 1e-20):
+            want = float(ref(x[0])) * (r / math.exp(x[0]))
+            assert _bits([cache(r)]) == _bits([want])
+        # above the grid: NaN, as with extrapolate=False
+        above = float(np.nextafter(x[-1], np.inf))
+        assert math.isnan(cache._values(above)) and math.isnan(float(ref(above)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_grids_hit_every_slope_branch(self, seed):
+        from scipy.interpolate import PchipInterpolator
+
+        rng = np.random.default_rng(seed)
+        n = 3 + seed
+        x = np.cumsum(rng.uniform(0.1, 2.0, n))
+        # sign changes, flat steps and steep ends exercise both end-slope fixes
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)
+        k = rng.integers(0, n - 1)
+        y[k + 1] = y[k]
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        assert _bits(legendre._pchip_coefficients(x, y)) == _bits(ref.c)
+        ours = legendre._Pchip(x, y)
+        queries = np.concatenate([rng.uniform(x[0], x[-1], 500), x]).tolist()
+        assert _bits([ours(q) for q in queries]) == _bits([float(ref(q)) for q in queries])
+        for q in (x[0] - 1.0, x[-1] + 1e-9, math.nan):
+            assert math.isnan(ours(q)) and math.isnan(float(ref(q)))
+
+    def test_end_slope_clamped_to_three_secants(self):
+        from scipy.interpolate import PchipInterpolator
+
+        # the first secants change sign and the three-point end slope
+        # overshoots, so the end slope becomes 3 m0
+        x, y = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 0.1, -10.0, -10.5])
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        c = legendre._pchip_coefficients(x, y)
+        assert c[2, 0] == 3.0 * 0.1
+        assert _bits(c) == _bits(ref.c)
+
+    def test_two_points_interpolate_linearly(self):
+        from scipy.interpolate import PchipInterpolator
+
+        x, y = np.array([0.5, 2.0]), np.array([1.0, 4.0])
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        assert _bits(legendre._pchip_coefficients(x, y)) == _bits(ref.c)
+        ours = legendre._Pchip(x, y)
+        queries = [0.5, 0.75, 1.3, 2.0]
+        assert _bits([ours(q) for q in queries]) == _bits([float(ref(q)) for q in queries])
+        assert math.isnan(ours(2.5)) and math.isnan(ours(0.4))
+
+    def test_negative_zero_value_reads_as_scipy_does(self):
+        from scipy.interpolate import PchipInterpolator
+
+        x, y = np.array([0.0, 1.0, 2.0]), np.array([-0.0, -0.0, 1.0])
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        assert _bits(legendre._pchip_coefficients(x, y)) == _bits(ref.c)
+        assert _bits([legendre._Pchip(x, y)(0.0)]) == _bits([float(ref(0.0))])
+
+    def test_nonfinite_values_rejected(self):
+        with pytest.raises(ValueError):
+            legendre._Pchip(np.array([0.0, 1.0, 2.0]), np.array([0.0, math.inf, 1.0]))
