@@ -21,11 +21,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .legendre import dual_of, legendre_transform, log_factorial
+from .legendre import dual_of, log_ell_sequence, log_factorial
 from .weights import CONSISTENT, VIOLATED, WeightFunction
 
 ROLE_TEST = "test"
 ROLE_DISTRIBUTION = "distribution"
+
+HS_PARTIAL_TERMS = 1_000_000  # summed terms of the infinite HS series
+SAMPLE_SCALES = (0.5, 1.0, 2.0, 4.0)
 
 
 class ModelMismatchError(ValueError):
@@ -36,8 +39,7 @@ class PremiseError(ValueError):
     """A theorem's contraction premise (a e^2 ||i||_HS^2 < 1) fails."""
 
 
-def hs_norm_inclusion(q: float, p: float, d: int | None = None,
-                      partial_terms: int = 1_000_000) -> float:
+def hs_norm_inclusion(q: float, p: float, d: int | None = None) -> float:
     """Squared Hilbert-Schmidt norm of the inclusion: sum_j (2j+2)^-(q-p).
 
     d = None means the full series; a midpoint-rule tail integral brings
@@ -51,10 +53,10 @@ def hs_norm_inclusion(q: float, p: float, d: int | None = None,
         return float(np.sum((2.0 * j + 2.0) ** (-s)))
     if s <= 1.0:
         raise ArithmeticError("series diverges for q - p <= 1 in infinite dimension")
-    j = np.arange(partial_terms)
+    j = np.arange(HS_PARTIAL_TERMS)
     head = float(np.sum((2.0 * j + 2.0) ** (-s)))
     # tail: 2^-s * sum_{k > K} k^-s with midpoint integral correction
-    K = float(partial_terms)
+    K = float(HS_PARTIAL_TERMS)
     tail = 2.0 ** (-s) * (K + 0.5) ** (1.0 - s) / (s - 1.0)
     return head + tail
 
@@ -144,17 +146,6 @@ def mode_norm(phi: ChaosVector, n: int, p: float) -> float:
     mask = model.degrees == n
     w = model.log_mult[mask] + model.mode_log_weights(p)[mask]
     return math.sqrt(float(np.sum(np.exp(w) * np.abs(phi.coeffs[mask]) ** 2)))
-
-
-def log_ell_sequence(u: WeightFunction, n_max: int) -> np.ndarray:
-    """log ell_u(n) for n <= n_max, memoized on u."""
-    key = ("log_ell", n_max)
-    seq = u._memo.get(key)
-    if seq is None:
-        seq = u._memo[key] = np.array(
-            [legendre_transform(u, float(n)).log_value for n in range(n_max + 1)]
-        )
-    return seq
 
 
 def weighted_norm(phi: ChaosVector, log_ell: np.ndarray, p: float) -> float:
@@ -314,22 +305,31 @@ def _fit_K(vec: ChaosVector, w: WeightFunction, a: float, level: float,
     return float(np.max(vals * np.exp(-0.5 * logw)))
 
 
+def _check_bound(vec: ChaosVector, w: WeightFunction, a: float, p: float, q: float,
+                 sample: np.ndarray, level: float, order: float) -> BoundCheckReport:
+    """Fit K from |S vec| <= K w(a|xi|^2_level)^(1/2) and check
+    sum_n |f_n|_order^2 / ell_w(n) <= K^2 (1 - a e^2 ||i||_HS^2)^(-1)."""
+    hs = hs_norm_inclusion(max(p, q), min(p, q), d=vec.model.d)
+    contraction = a * math.e**2 * hs
+    if contraction >= 1.0:
+        raise PremiseError(f"a e^2 ||i||_HS^2 = {contraction} >= 1")
+    K = _fit_K(vec, w, a, level, sample)
+    lhs = weighted_norm(vec, log_ell_sequence(w, vec.model.N), order) ** 2
+    rhs = K**2 / (1.0 - contraction)
+    verdict = CONSISTENT if lhs <= rhs * (1.0 + _BOUND_TOL) else VIOLATED
+    return BoundCheckReport(verdict=verdict, fitted_K=K, a=a, p=p, q=q,
+                            lhs=lhs, rhs=rhs, hs=hs)
+
+
 def check_test_bound(phi: ChaosVector, u: WeightFunction, a: float, p: float,
                      q: float, sample: np.ndarray) -> BoundCheckReport:
     """Growth bound for test functions: fit K from |S phi| <= K u(a|xi|^2_{-p})^(1/2)
     and check ||phi||_{u,q}^2 <= K^2 (1 - a e^2 ||i_{p,q}||_HS^2)^(-1), q < p."""
     if not q < p:
         raise ValueError("test-side check needs q < p")
-    hs = hs_norm_inclusion(p, q, d=phi.model.d)
-    contraction = a * math.e**2 * hs
-    if contraction >= 1.0:
-        raise PremiseError(f"a e^2 ||i||_HS^2 = {contraction} >= 1")
-    K = _fit_K(phi, u, a, -p, sample)
-    lhs = test_norm(phi, u, q) ** 2
-    rhs = K**2 / (1.0 - contraction)
-    verdict = CONSISTENT if lhs <= rhs * (1.0 + _BOUND_TOL) else VIOLATED
-    return BoundCheckReport(verdict=verdict, fitted_K=K, a=a, p=p, q=q,
-                            lhs=lhs, rhs=rhs, hs=hs)
+    if phi.role != ROLE_TEST:
+        raise ValueError("check_test_bound expects a test-role vector")
+    return _check_bound(phi, u, a, p, q, sample, level=-p, order=q)
 
 
 def check_dist_bound(Phi: ChaosVector, u: WeightFunction, a: float, p: float,
@@ -338,26 +338,16 @@ def check_dist_bound(Phi: ChaosVector, u: WeightFunction, a: float, p: float,
     ||Phi||_{u*,-q}^2 <= K^2 (1 - a e^2 ||i_{q,p}||_HS^2)^(-1), q > p."""
     if not q > p:
         raise ValueError("distribution-side check needs q > p")
-    hs = hs_norm_inclusion(q, p, d=Phi.model.d)
-    contraction = a * math.e**2 * hs
-    if contraction >= 1.0:
-        raise PremiseError(f"a e^2 ||i||_HS^2 = {contraction} >= 1")
-    ustar = dual_of(u)
-    K = _fit_K(Phi, ustar, a, p, sample)
-    lhs = dist_norm(Phi, u, q) ** 2
-    rhs = K**2 / (1.0 - contraction)
-    verdict = CONSISTENT if lhs <= rhs * (1.0 + _BOUND_TOL) else VIOLATED
-    return BoundCheckReport(verdict=verdict, fitted_K=K, a=a, p=p, q=q,
-                            lhs=lhs, rhs=rhs, hs=hs)
+    if Phi.role != ROLE_DISTRIBUTION:
+        raise ValueError("check_dist_bound expects a distribution-role vector")
+    return _check_bound(Phi, dual_of(u), a, p, q, sample, level=p, order=-q)
 
 
-def gaussian_sample(rng, n_per_scale: int, d: int,
-                    scales=(0.5, 1.0, 2.0, 4.0), complex_values: bool = True) -> np.ndarray:
-    """Stratified complex-Gaussian probe vectors across magnitudes."""
+def gaussian_sample(rng, n_per_scale: int, d: int) -> np.ndarray:
+    """Stratified complex-Gaussian probe vectors across the SAMPLE_SCALES magnitudes."""
     blocks = []
-    for s in scales:
+    for s in SAMPLE_SCALES:
         z = rng.standard_normal((n_per_scale, d))
-        if complex_values:
-            z = (z + 1j * rng.standard_normal((n_per_scale, d))) / math.sqrt(2.0)
+        z = (z + 1j * rng.standard_normal((n_per_scale, d))) / math.sqrt(2.0)
         blocks.append(s * z)
     return np.concatenate(blocks, axis=0)

@@ -54,8 +54,6 @@ def _jsonable(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, weights.WeightFunction):
-        return {"name": obj.name, "r_max": obj.r_max, "params": _jsonable(obj.params)}
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return str(obj)
@@ -194,16 +192,15 @@ def _cmd_chaos_bounds(args, seed):
             "reports": reports}, cfg
 
 
-def _measure_from_args(args) -> measures.MeasureModel:
+def _measure_from_args(args, seed) -> measures.MeasureModel:
     return measures.MeasureModel(
         kind=args.model, d=args.dim, lam=args.lam,
-        intensity=args.intensity, sampler_seed=args.resolved_seed,
+        intensity=args.intensity, sampler_seed=seed,
     )
 
 
 def _cmd_positive_definite(args, seed):
-    model = measures.MeasureModel(kind=args.model, d=args.dim, lam=args.lam,
-                                  intensity=args.intensity, sampler_seed=seed)
+    model = _measure_from_args(args, seed)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(args.sets):
@@ -217,8 +214,7 @@ def _cmd_positive_definite(args, seed):
 
 
 def _cmd_integrability(args, seed):
-    args.resolved_seed = seed
-    model = _measure_from_args(args)
+    model = _measure_from_args(args, seed)
     u, cfg = _weight_from_args(args)
     rep = measures.integrability_check(
         model, u, p=args.p, n=args.samples, threads=args.threads,

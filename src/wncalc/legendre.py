@@ -24,6 +24,9 @@ values are scipy's to the bit without importing scipy.
 ``dual_weight(u)``, built on first use and kept on u, so the dual-sequence
 check and the distribution-side chaos bounds grade against the same u*.
 A call of ``dual_weight(u, ...)`` with a custom grid is not memoized.
+Likewise ``log_ell_sequence(u, n)`` keeps the longest log ell_u(0..n)
+computed so far on u, and every sequence check and chaos norm reads a
+prefix of it.
 """
 
 from __future__ import annotations
@@ -39,13 +42,15 @@ from . import optimize
 from .weights import (
     CONSISTENT,
     VIOLATED,
-    DomainError,
     PrecisionError,
     WeightFunction,
     from_callable,
 )
 
 _Y_LO = math.log(1e-24)
+DUAL_R_LO = 1e-8  # lower end of the materialized u* grid
+AUDIT_POINTS = 128
+AUDIT_TOL = 1e-9
 
 
 class UnboundedError(ArithmeticError):
@@ -118,8 +123,9 @@ def dual_function(u: WeightFunction, r: float) -> TransformResult:
     res = optimize.minimize_scalar(h, _Y_LO, y_hi, scan_values=scan)
     if res.status == optimize.STATUS_UPPER_BOUNDARY and r > 0:
         raise UnboundedError(
-            f"sup of exp(2 sqrt({r} s))/{u.name}(s) still increasing at r_max={u.r_max};"
-            " u may fail the C_+,1/2 growth condition"
+            f"sup of exp(2 sqrt({r} s))/{u.name}(s) still increasing at r_max={u.r_max}:"
+            " the maximizer lies beyond the search limit r_max,"
+            " or u fails the C_+,1/2 growth condition"
         )
     return TransformResult(log_value=-res.value, arg_r=math.exp(res.x), status=res.status)
 
@@ -221,13 +227,8 @@ class _DualCache:
         return self._values(x)
 
 
-def dual_weight(
-    u: WeightFunction,
-    r_max: float = 1e8,
-    per_decade: int = 256,
-    r_lo: float = 1e-8,
-) -> WeightFunction:
-    cache = _DualCache(u, r_lo, r_max, per_decade)
+def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 256) -> WeightFunction:
+    cache = _DualCache(u, DUAL_R_LO, r_max, per_decade)
     return from_callable(
         name=f"dual({u.name})",
         log_eval=cache,
@@ -246,6 +247,15 @@ def dual_of(u: WeightFunction) -> WeightFunction:
     if ustar is None:
         ustar = u._memo["dual"] = dual_weight(u)
     return ustar
+
+
+def log_ell_sequence(u: WeightFunction, n_max: int) -> np.ndarray:
+    """log ell_u(n) for n <= n_max: a prefix of the longest sequence kept on u."""
+    seq = u._memo.get("log_ell", np.empty(0))
+    if len(seq) <= n_max:
+        more = [legendre_transform(u, float(n)).log_value for n in range(len(seq), n_max + 1)]
+        seq = u._memo["log_ell"] = np.concatenate((seq, more))
+    return seq[: n_max + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +286,23 @@ def legendre_table(u: WeightFunction, t_grid: Sequence[float]) -> LegendreTable:
     )
 
 
-def audit_infimum(u: WeightFunction, t: float, log_ell: float, rng, n_points: int = 128,
-                  tol: float = 1e-9) -> bool:
-    """Certificate check: log u(r) - t log r >= log_ell - tol on random r."""
-    lo, hi = math.log(1e-6), math.log(u.r_max)
-    ys = rng.uniform(lo, hi, n_points)
-    return all(
-        _safe_log_eval(u, math.exp(y)) - t * y >= log_ell - tol for y in ys
-    )
+def _audit(u: WeightFunction, rng, holds) -> bool:
+    """holds(y) at AUDIT_POINTS random y = log r in [log 1e-6, log r_max]."""
+    ys = rng.uniform(math.log(1e-6), math.log(u.r_max), AUDIT_POINTS)
+    return all(holds(y) for y in ys)
 
 
-def audit_supremum(u: WeightFunction, r: float, log_ustar: float, rng,
-                   n_points: int = 128, tol: float = 1e-9) -> bool:
-    lo, hi = math.log(1e-6), math.log(u.r_max)
-    ys = rng.uniform(lo, hi, n_points)
-    return all(
+def audit_infimum(u: WeightFunction, t: float, log_ell: float, rng) -> bool:
+    """Certificate check: log u(r) - t log r >= log_ell - AUDIT_TOL on random r."""
+    return _audit(u, rng, lambda y: _safe_log_eval(u, math.exp(y)) - t * y >= log_ell - AUDIT_TOL)
+
+
+def audit_supremum(u: WeightFunction, r: float, log_ustar: float, rng) -> bool:
+    """Certificate check: 2 sqrt(r s) - log u(s) <= log_ustar + AUDIT_TOL on random s."""
+    return _audit(u, rng, lambda y: (
         2.0 * math.sqrt(r * math.exp(y)) - _safe_log_eval(u, math.exp(y))
-        <= log_ustar + tol
-        for y in ys
-    )
+        <= log_ustar + AUDIT_TOL
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +333,7 @@ class EquivalenceReport:
 DRIFT_TOL = 0.5
 
 
-def seq_equivalent(
-    log_a: Sequence[float],
-    log_b: Sequence[float],
-    drift_tol: float = DRIFT_TOL,
-) -> EquivalenceReport:
+def seq_equivalent(log_a: Sequence[float], log_b: Sequence[float]) -> EquivalenceReport:
     """Fit K1 c1^n a(n) <= b(n) <= K2 c2^n a(n) on the given range.
 
     The geometric rate c is the least-squares slope of the residual on the
@@ -337,7 +341,7 @@ def seq_equivalent(
     are the residual extremes, so the reported constants satisfy the
     inequalities literally on the range.  The verdict is `violated` when
     the local slope drifts between the head and the tail by more than
-    drift_tol, the finite-range signature of a super-geometric ratio.
+    ``DRIFT_TOL``, the finite-range signature of a super-geometric ratio.
     """
     la = np.asarray(log_a, dtype=float)
     lb = np.asarray(log_b, dtype=float)
@@ -357,7 +361,7 @@ def seq_equivalent(
     log_K2 = float(np.max(resid))
     log_K1 = float(np.min(resid))
     return EquivalenceReport(
-        verdict=CONSISTENT if drift <= drift_tol else VIOLATED,
+        verdict=CONSISTENT if drift <= DRIFT_TOL else VIOLATED,
         K1=math.exp(log_K1),
         K2=math.exp(log_K2),
         c1=math.exp(slope_tail),
@@ -368,18 +372,13 @@ def seq_equivalent(
     )
 
 
-def verify_dual_sequence(
-    u: WeightFunction,
-    n_max: int,
-    drift_tol: float = DRIFT_TOL,
-) -> EquivalenceReport:
+def verify_dual_sequence(u: WeightFunction, n_max: int) -> EquivalenceReport:
     """Check ell_{u*}(n) ell_u(n) (n!)^2 ~ 1 on n <= n_max, with u* = dual_of(u)."""
     if n_max < 10:
         raise ValueError("n_max must be >= 10")
-    ustar = dual_of(u)
-    rho = []
-    for n in range(n_max + 1):
-        l_u = legendre_transform(u, n).log_value
-        l_us = legendre_transform(ustar, n).log_value
-        rho.append(l_u + l_us + 2.0 * log_factorial(n))
-    return seq_equivalent([0.0] * len(rho), rho, drift_tol=drift_tol)
+    # u* first: a weight outside C_+,1/2 fails in the u* build, and that error names the cause
+    ell_star = log_ell_sequence(dual_of(u), n_max).tolist()
+    ell = log_ell_sequence(u, n_max).tolist()
+    rho = [(l_u + l_us) + 2.0 * log_factorial(n)
+           for n, (l_u, l_us) in enumerate(zip(ell, ell_star))]
+    return seq_equivalent([0.0] * len(rho), rho)

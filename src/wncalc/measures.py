@@ -19,6 +19,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
@@ -33,7 +34,13 @@ VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGING = "diverging"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-ML_T_MAX = 50.0
+ML_T_MAX = 50.0  # largest t mittag_leffler accepts
+N_PROBES = 8  # characteristic-function probes of validate_sampler
+SIGMA_GATE = 4.0  # family-wise false-alarm level of validate_sampler, as a two-sided sigma
+# Sidak's per-score level, so that the largest of 2 N_PROBES |z| scores errs at SIGMA_GATE
+_Z_ALPHA = -math.expm1(math.log1p(-math.erfc(SIGMA_GATE / math.sqrt(2.0))) / (2 * N_PROBES))
+Z_GATE = -NormalDist().inv_cdf(_Z_ALPHA / 2.0)  # 4.61 standard errors
+N_BATCHES = 8  # Monte Carlo batches of the integrability and moment checks
 
 
 class SamplerValidationError(RuntimeError):
@@ -96,7 +103,7 @@ def _ml_integral(lam: float, t: float) -> float:
 
 
 @lru_cache(maxsize=65536)
-def mittag_leffler(lam: float, t: float, t_max: float = ML_T_MAX) -> float:
+def mittag_leffler(lam: float, t: float) -> float:
     """L_lam(t) = sum (-t)^n / Gamma(1 + lam n), for 0 < lam <= 1, t >= 0.
 
     Alternating summation in extended precision sized to the largest term;
@@ -107,8 +114,8 @@ def mittag_leffler(lam: float, t: float, t_max: float = ML_T_MAX) -> float:
         raise ValueError("lambda must be in (0, 1]")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t > t_max:
-        raise ValueError(f"t={t} beyond configured range {t_max}")
+    if t > ML_T_MAX:
+        raise ValueError(f"t={t} beyond configured range {ML_T_MAX}")
     if t == 0.0:
         return 1.0
     if lam == 1.0:
@@ -239,18 +246,17 @@ def sample(model: MeasureModel, n: int, rng=None) -> np.ndarray:
     return math.sqrt(2.0) * S[:, None] ** (-model.lam / 2.0) * z
 
 
-def validate_sampler(model: MeasureModel, n: int = 100_000, n_probes: int = 8,
-                     sigma_gate: float = 4.0, rng=None) -> dict:
+def validate_sampler(model: MeasureModel, n: int = 100_000) -> dict:
     """Empirical characteristic function vs the analytic functional.
 
-    Raises SamplerValidationError when any draw is not finite, or when any
-    probe deviates by more than sigma_gate Monte Carlo standard errors.
+    Each of ``N_PROBES`` probes gives a real and an imaginary z-score.
+    Raises SamplerValidationError when any draw is not finite, or when the
+    largest |z| exceeds ``Z_GATE``; a correct sampler then fails with the
+    6.3e-5 of one ``SIGMA_GATE`` test, not the 1.0e-3 of 16 such tests.
     """
-    if rng is None:
-        rng = np.random.default_rng(model.sampler_seed)
     probe_rng = np.random.default_rng(model.sampler_seed + 1)
-    x = sample(model, n, rng)
-    probes = probe_rng.standard_normal((n_probes, model.d)) / math.sqrt(model.d)
+    x = sample(model, n)
+    probes = probe_rng.standard_normal((N_PROBES, model.d)) / math.sqrt(model.d)
     worst = 0.0
     rows = []
     for xi in probes:
@@ -270,9 +276,9 @@ def validate_sampler(model: MeasureModel, n: int = 100_000, n_probes: int = 8,
                 abs(emp_im - np.imag(exact)) / se_im)
         worst = max(worst, z)
         rows.append({"probe_norm": float(np.linalg.norm(xi)), "z": z})
-    if worst > sigma_gate:
+    if worst > Z_GATE:
         raise SamplerValidationError(
-            f"{model.kind} sampler: worst deviation {worst:.2f} sigma > {sigma_gate}"
+            f"{model.kind} sampler: worst deviation {worst:.2f} sigma > {Z_GATE:.2f}"
         )
     return {"worst_sigma": worst, "n": n, "probes": rows}
 
@@ -306,12 +312,12 @@ def _batch_verdict(batch_means: np.ndarray) -> tuple[str, float]:
     return VERDICT_INCONCLUSIVE, cv
 
 
-def _run_batches(worker, n_batches: int, seed: int, threads: int = 1) -> list:
-    seeds = np.random.SeedSequence(seed).spawn(n_batches)
+def _run_batches(worker, seed: int, threads: int = 1) -> list:
+    seeds = np.random.SeedSequence(seed).spawn(N_BATCHES)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, range(n_batches), seeds))
-    return [worker(b, s) for b, s in zip(range(n_batches), seeds)]
+            return list(ex.map(worker, range(N_BATCHES), seeds))
+    return [worker(b, s) for b, s in zip(range(N_BATCHES), seeds)]
 
 
 def integrability_check(
@@ -319,14 +325,12 @@ def integrability_check(
     u: WeightFunction,
     p: float,
     n: int,
-    n_batches: int = 8,
-    eigenvalues: np.ndarray | None = None,
     threads: int = 1,
     validate: bool | None = None,
 ) -> IntegrabilityReport:
-    """Monte Carlo E_nu[u(|x|^2_{-p})^{1/2}] with batch-mean diagnostics.
+    """Monte Carlo E_nu[u(|x|^2_{-p})^{1/2}] with ``N_BATCHES`` batch-mean diagnostics.
 
-    |x|_{-p} uses the model eigenvalues 2j+2.  Grey models are validated
+    |x|_{-p} uses the eigenvalues 2j+2, j < d.  Grey models are validated
     against their characteristic functional before estimating (override
     with validate=False for exploratory runs).
     """
@@ -334,13 +338,8 @@ def integrability_check(
         validate = model.kind == KIND_GREY
     if validate:
         validate_sampler(model, n=min(n, 100_000))
-    lam_j = (
-        np.asarray(eigenvalues, dtype=float)
-        if eigenvalues is not None
-        else 2.0 * np.arange(model.d) + 2.0
-    )
-    w = lam_j ** (-2.0 * p)
-    batch = max(1, n // n_batches)
+    w = (2.0 * np.arange(model.d) + 2.0) ** (-2.0 * p)
+    batch = max(1, n // N_BATCHES)
 
     def worker(b, seed_seq):
         rng = np.random.default_rng(seed_seq)
@@ -352,12 +351,12 @@ def integrability_check(
             f = np.exp(vals)
         return float(np.mean(np.minimum(f, 1e300)))
 
-    means = np.array(_run_batches(worker, n_batches, model.sampler_seed, threads))
+    means = np.array(_run_batches(worker, model.sampler_seed, threads))
     verdict, cv = _batch_verdict(means)
     return IntegrabilityReport(
         verdict=verdict,
         estimate=float(np.mean(means)),
-        std_error=float(np.std(means) / math.sqrt(n_batches)),
+        std_error=float(np.std(means) / math.sqrt(N_BATCHES)),
         cv=cv,
         p=p,
         batch_means=means.tolist(),
@@ -378,16 +377,15 @@ def ls_inclusion_check(
     phi,
     s_list,
     n: int,
-    n_batches: int = 8,
     threads: int = 1,
 ) -> list[MomentReport]:
-    """Monte Carlo E_nu[|phi(x)|^s] for each s, with convergence grading.
+    """Monte Carlo E_nu[|phi(x)|^s] for each s, graded over ``N_BATCHES`` batches.
 
     phi must be pointwise evaluable (a chaos vector).
     """
     from .chaos import point_eval
 
-    batch = max(1, n // n_batches)
+    batch = max(1, n // N_BATCHES)
 
     def worker(b, seed_seq):
         rng = np.random.default_rng(seed_seq)
@@ -395,7 +393,7 @@ def ls_inclusion_check(
         v = np.abs(point_eval(phi, x))
         return [float(np.mean(v**s)) for s in s_list]
 
-    rows = np.array(_run_batches(worker, n_batches, model.sampler_seed, threads))
+    rows = np.array(_run_batches(worker, model.sampler_seed, threads))
     out = []
     for i, s in enumerate(s_list):
         means = rows[:, i]

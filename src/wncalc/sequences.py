@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath as mp
 import numpy as np
 
-from .legendre import legendre_transform, log_factorial, seq_equivalent, EquivalenceReport, DRIFT_TOL
+from .legendre import log_ell_sequence, log_factorial, seq_equivalent, EquivalenceReport
 from .weights import CONSISTENT, VIOLATED, WeightFunction
 
 MAX_BELL_N = 512
@@ -85,10 +84,8 @@ def bell_numbers(k: int, n_max: int) -> WeightSequence:
 
 def alpha_from_u(u: WeightFunction, n_max: int) -> WeightSequence:
     """alpha(n) = (n! ell_u(n))^{-1} in log space."""
-    logs = [
-        -log_factorial(n) - legendre_transform(u, float(n)).log_value
-        for n in range(n_max + 1)
-    ]
+    ell = log_ell_sequence(u, n_max).tolist()
+    logs = [-log_factorial(n) - l for n, l in enumerate(ell)]
     return WeightSequence(log_values=logs, provenance=f"from_u:{u.name}")
 
 
@@ -113,25 +110,22 @@ class A2Report:
 
 
 _TAIL_TOL = 1e-9
+SIGMA_GRID = [float(s) for s in np.geomspace(1.0, 16.0, 9)]
 
 
-def check_A1(alpha: WeightSequence, sigma_grid: Sequence[float] | None = None) -> A1Report:
-    """inf_n alpha(n) sigma^n > 0 for some sigma >= 1, by tail trend.
+def check_A1(alpha: WeightSequence) -> A1Report:
+    """inf_n alpha(n) sigma^n > 0 for some sigma in SIGMA_GRID, by tail trend.
 
     A sigma passes when the sequence log alpha(n) + n log sigma is
     nondecreasing on the last third of the range, so the finite infimum is
     credible evidence for the limit condition.
     """
-    if sigma_grid is None:
-        sigma_grid = np.geomspace(1.0, 16.0, 9)
-    if any(s < 1.0 for s in sigma_grid):
-        raise ValueError("sigma grid must lie in [1, inf)")
     la = np.asarray(alpha.log_values)
     n = np.arange(len(la))
     k = max(3, len(la) // 3)
     per_sigma = {}
     best = None
-    for sigma in sorted(float(s) for s in sigma_grid):
+    for sigma in SIGMA_GRID:
         m = la + n * math.log(sigma)
         tail_ok = bool(np.all(np.diff(m[-k:]) >= -_TAIL_TOL))
         per_sigma[sigma] = {"inf": float(np.min(m)), "tail_nondecreasing": tail_ok}
@@ -150,11 +144,11 @@ def check_A1(alpha: WeightSequence, sigma_grid: Sequence[float] | None = None) -
 A2_THRESHOLD = -0.5
 
 
-def check_A2(alpha: WeightSequence, threshold: float = A2_THRESHOLD) -> A2Report:
+def check_A2(alpha: WeightSequence) -> A2Report:
     """(alpha(n)/n!)^{1/n} -> 0, via s(n) = (log alpha(n) - log n!)/n.
 
-    Consistent when s is decreasing on the tail and ends below the
-    threshold.
+    Consistent when s is decreasing on the tail and ends below
+    ``A2_THRESHOLD``.
     """
     if len(alpha) < 21:
         raise ValueError("need n_max >= 20")
@@ -163,8 +157,8 @@ def check_A2(alpha: WeightSequence, threshold: float = A2_THRESHOLD) -> A2Report
     k = max(3, len(s) // 3)
     tail = s[-k:]
     decreasing = all(b - a < _TAIL_TOL for a, b in zip(tail, tail[1:]))
-    verdict = CONSISTENT if (decreasing and s[-1] < threshold) else VIOLATED
-    return A2Report(verdict=verdict, s_final=s[-1], threshold=threshold, s_values=s)
+    verdict = CONSISTENT if (decreasing and s[-1] < A2_THRESHOLD) else VIOLATED
+    return A2Report(verdict=verdict, s_final=s[-1], threshold=A2_THRESHOLD, s_values=s)
 
 
 @dataclass(frozen=True)
@@ -191,21 +185,16 @@ def stirling_sandwich(beta: float, n_max: int) -> SandwichReport:
     return SandwichReport(verdict=CONSISTENT, first_violation=None, max_slack=worst)
 
 
-def remark_inclusion_bounds(
-    u: WeightFunction,
-    n_max: int,
-    drift_tol: float = DRIFT_TOL,
-) -> tuple[EquivalenceReport, EquivalenceReport]:
+def remark_inclusion_bounds(u: WeightFunction,
+                            n_max: int) -> tuple[EquivalenceReport, EquivalenceReport]:
     """Sequence-level consequences of the embedding chain through (L^2).
 
     Returns (upper, lower): the geometric envelope fit of ell_u(n) n!
     against 1 (embedding of the test space into the beta=0 space) and of
     ell_u(n) (n!)^2 against 1 (containment of the beta=1 space).
     """
-    ell = [legendre_transform(u, float(n)).log_value for n in range(n_max + 1)]
+    ell = log_ell_sequence(u, n_max).tolist()
     ones = [0.0] * (n_max + 1)
     upper_seq = [l + log_factorial(n) for n, l in enumerate(ell)]
     lower_seq = [l + 2.0 * log_factorial(n) for n, l in enumerate(ell)]
-    upper = seq_equivalent(ones, upper_seq, drift_tol=drift_tol)
-    lower = seq_equivalent(ones, lower_seq, drift_tol=drift_tol)
-    return upper, lower
+    return seq_equivalent(ones, upper_seq), seq_equivalent(ones, lower_seq)

@@ -29,6 +29,7 @@ DEFAULT_R_MAX = 1e6
 CONVEXITY_TOL = 1e-9
 DIVERGENCE_THRESHOLD = 10.0
 RATIO_TOL = 1e-9
+LATTICE_POW = 10  # func_equivalent tries the scale factors 2^-10 .. 2^10
 
 
 class DomainError(ValueError):
@@ -198,14 +199,10 @@ def from_callable(
     name: str,
     log_eval: Callable[[float], float],
     r_max: float = DEFAULT_R_MAX,
-    increasing: bool = True,
-    u_at_zero: float = 1.0,
     params: dict | None = None,
 ) -> WeightFunction:
-    return WeightFunction(
-        name=name, _log_eval=log_eval, r_max=r_max,
-        params=params or {}, u_at_zero=u_at_zero, increasing=increasing,
-    )
+    """An increasing weight with u(0) = 1 from its log evaluator."""
+    return WeightFunction(name=name, _log_eval=log_eval, r_max=r_max, params=params or {})
 
 
 def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_table") -> WeightFunction:
@@ -254,9 +251,8 @@ def from_config(cfg: dict) -> WeightFunction:
     raise ValueError(f"unknown weight family {family!r}")
 
 
-def default_grid(r_max: float, n: int = DEFAULT_GRID_POINTS, r_min: float = DEFAULT_R_MIN) -> np.ndarray:
-    r_min = min(r_min, r_max / 10.0)
-    return np.geomspace(r_min, r_max, n)
+def default_grid(r_max: float) -> np.ndarray:
+    return np.geomspace(min(DEFAULT_R_MIN, r_max / 10.0), r_max, DEFAULT_GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +267,7 @@ class ConvexityReport:
     tol: float
 
 
-def check_log_x2_convex(
-    u: WeightFunction,
-    grid: Sequence[float] | None = None,
-    tol: float = CONVEXITY_TOL,
-) -> ConvexityReport:
+def check_log_x2_convex(u: WeightFunction, grid: Sequence[float] | None = None) -> ConvexityReport:
     """Chord test of x -> log u(x^2) on consecutive grid triples."""
     if grid is None:
         grid = np.sqrt(default_grid(u.r_max))
@@ -294,9 +286,10 @@ def check_log_x2_convex(
         if defect < worst:
             worst = defect
             witness = (float(x1), float(x2), float(x3))
-    verdict = CONSISTENT if worst >= -tol else VIOLATED
+    verdict = CONSISTENT if worst >= -CONVEXITY_TOL else VIOLATED
     return ConvexityReport(verdict=verdict, worst_defect=float(worst),
-                           witness=witness if verdict == VIOLATED else None, tol=tol)
+                           witness=witness if verdict == VIOLATED else None,
+                           tol=CONVEXITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -309,10 +302,10 @@ class ClassMembership:
     ratios: dict = field(default_factory=dict, compare=False)
 
 
-def _diverging(ratio: np.ndarray, threshold: float) -> bool:
+def _diverging(ratio: np.ndarray) -> bool:
     tail = ratio[-max(3, len(ratio) // 3):]
     return bool(np.all(np.diff(tail) > -RATIO_TOL) and np.any(np.diff(tail) > RATIO_TOL)
-                and ratio[-1] > threshold)
+                and ratio[-1] > DIVERGENCE_THRESHOLD)
 
 
 def _bounded(ratio: np.ndarray) -> bool:
@@ -320,32 +313,25 @@ def _bounded(ratio: np.ndarray) -> bool:
     return bool(np.all(np.diff(tail) <= RATIO_TOL * (1.0 + np.abs(tail[:-1]))))
 
 
-def classify(
-    u: WeightFunction,
-    r_max: float | None = None,
-    n_points: int = DEFAULT_GRID_POINTS,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
-) -> ClassMembership:
+def classify(u: WeightFunction, r_max: float | None = None) -> ClassMembership:
     """Finite-range membership check for the growth classes.
 
     Divergence conditions pass when the indicator ratio is increasing on
-    the grid tail and exceeds the threshold at r_max; the boundedness
+    the grid tail and exceeds ``DIVERGENCE_THRESHOLD`` at r_max; the boundedness
     condition passes when the ratio is non-increasing on the tail.
     """
     r_max = min(r_max or u.r_max, u.r_max)
-    grid = np.geomspace(3.0, r_max, n_points)
-    if len(grid) < 20:
-        raise ValueError("r_max too small for a meaningful grid")
+    grid = np.geomspace(3.0, r_max, DEFAULT_GRID_POINTS)
     logu = np.array([u.log_eval(r) for r in grid])
     r_log = logu / np.log(grid)
     r_half = logu / np.sqrt(grid)
     r_lin = logu / grid
 
-    c_log = CONSISTENT if _diverging(r_log, divergence_threshold) else VIOLATED
-    c_half = CONSISTENT if _diverging(r_half, divergence_threshold) else VIOLATED
+    c_log = CONSISTENT if _diverging(r_log) else VIOLATED
+    c_half = CONSISTENT if _diverging(r_half) else VIOLATED
     bounded = _bounded(r_lin)
     c_half_one = CONSISTENT if (c_half == CONSISTENT and bounded) else VIOLATED
-    convex = check_log_x2_convex(u, np.sqrt(np.geomspace(min(DEFAULT_R_MIN, r_max / 10), r_max, n_points)))
+    convex = check_log_x2_convex(u, np.sqrt(default_grid(r_max)))
     return ClassMembership(
         in_C_plus_log=c_log,
         in_C_plus_half=c_half,
@@ -388,7 +374,6 @@ def func_equivalent(
     u: WeightFunction,
     v: WeightFunction,
     grid: Sequence[float] | None = None,
-    lattice_pow: int = 10,
 ) -> FunctionEquivalenceReport:
     """Search dyadic scale factors witnessing u ~ v on the grid.
 
@@ -402,7 +387,7 @@ def func_equivalent(
     rs = np.asarray(grid, dtype=float)
     logv = np.array([v.log_eval(r) for r in rs])
 
-    lattice = [2.0**e for e in range(-lattice_pow, lattice_pow + 1)]
+    lattice = [2.0**e for e in range(-LATTICE_POW, LATTICE_POW + 1)]
     best_upper = None  # (sup_residual, a)
     best_lower = None  # (inf_residual, a)
     for a in lattice:

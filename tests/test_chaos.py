@@ -35,7 +35,7 @@ def model():
 
 def random_vector(model, rng, role=chaos.ROLE_TEST):
     c = rng.standard_normal(model.n_coeffs) + 1j * rng.standard_normal(model.n_coeffs)
-    c *= np.exp(-np.array([log_factorial(int(n)) for n in model.degrees]))
+    c *= np.exp(-model.log_factorials[model.degrees])
     return ChaosVector(model=model, coeffs=c, role=role)
 
 

@@ -58,6 +58,16 @@ class TestExitCodes:
         assert captured.err.startswith("error: inf of power_exp")
         assert captured.err.count("\n") == 1
 
+    def test_unbounded_dual_names_the_search_limit(self, capsys):
+        # sqrt_log(2) grows faster than every exp(c sqrt(s)), but the maximizer
+        # s* ~ e^(2r) passes r_max = 1e30 from r ~ 35 on
+        assert run(["dual", "--family", "sqrt_log"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sup of exp(2 sqrt(")
+        assert "the maximizer lies beyond the search limit r_max" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_tower_overflow_exits_one_with_one_line(self, capsys):
         assert run(["classify", "--family", "bell", "--order", "14"]) == 1
         captured = capsys.readouterr()

@@ -1,0 +1,36 @@
+"""Static checks on the package sources, with the standard-library ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wncalc"
+# __init__ imports names only to re-export them
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"chaos.py", "cli.py", "legendre.py", "weights.py"}
+
+
+def test_unused_import_detected():
+    assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == ["os", "tau"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wncalc import chaos, legendre, optimize
+from wncalc import chaos, legendre, optimize, sequences
 from wncalc.cli import _jsonable
 from wncalc.legendre import (
     UnboundedError,
@@ -164,6 +164,41 @@ class TestDualOf:
         u = power_exp(0.0)
         dual_of(u)
         assert set(_jsonable(u)) == {"name", "r_max", "params", "u_at_zero", "increasing"}
+
+
+class TestEllSequenceMemo:
+    """One log ell_u sequence per weight object serves every check that reads it."""
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        # every legendre_transform (and dual_function) solve goes through here
+        solves = []
+        minimize = optimize.minimize_scalar
+
+        def counting(*args, **kwargs):
+            solves.append(args[1:3])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize_scalar", counting)
+        return solves
+
+    def test_checks_after_the_dual_sequence_solve_nothing(self, monkeypatch):
+        u = power_exp(0.0)
+        verify_dual_sequence(u, 20)
+        solves = self.count_solves(monkeypatch)
+        chaos.log_ell_sequence(u, 6)
+        legendre.log_ell_sequence(dual_of(u), 6)
+        sequences.alpha_from_u(u, 20)
+        assert solves == []
+
+    def test_a_longer_request_extends_the_kept_sequence(self, monkeypatch):
+        u = power_exp(0.3)
+        head = chaos.log_ell_sequence(u, 4).tolist()
+        solves = self.count_solves(monkeypatch)
+        got = chaos.log_ell_sequence(u, 10)
+        assert len(solves) == 6
+        assert got[:5].tolist() == head
+        assert got.tobytes() == chaos.log_ell_sequence(power_exp(0.3), 10).tobytes()
 
 
 class TestSharedScan:

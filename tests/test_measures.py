@@ -99,8 +99,31 @@ class TestSamplers:
         rep = validate_sampler(m, n=50_000)
         assert rep["worst_sigma"] <= 4.0
 
+    def test_gate_is_sidak_for_the_largest_of_all_scores(self):
+        # 2 N_PROBES two-sided z-tests at Z_GATE raise a false alarm as often
+        # as one SIGMA_GATE test does
+        per_score = special.erfc(measures.Z_GATE / math.sqrt(2.0))
+        family = -math.expm1(2 * measures.N_PROBES * math.log1p(-per_score))
+        assert family == pytest.approx(special.erfc(measures.SIGMA_GATE / math.sqrt(2.0)),
+                                       rel=1e-9)
+        assert measures.Z_GATE == pytest.approx(4.6135, abs=1e-4)
+
+    @pytest.mark.parametrize("seed", [572906075, 665419025, 1138478386, 148829985,
+                                      2145116692, 2134949518, 1567902331])
+    def test_correct_sampler_above_four_sigma_passes(self, seed):
+        # the grey check of `verify-all --seed S`: a largest |z| in (4, Z_GATE]
+        # failed the uncorrected 4-sigma gate
+        m = MeasureModel(kind="grey", d=6, lam=0.5, sampler_seed=seed)
+        assert 4.0 < validate_sampler(m, n=20_000)["worst_sigma"] <= measures.Z_GATE
+
+    def test_deviation_beyond_the_gate_fails(self):
+        m = MeasureModel(kind="grey", d=6, lam=0.5, sampler_seed=1474054166)
+        with pytest.raises(SamplerValidationError,
+                           match=r"worst deviation 4\.87 sigma > 4\.61$"):
+            validate_sampler(m, n=20_000)
+
     def test_validation_catches_a_broken_sampler(self, monkeypatch):
-        # a sampler off by a scale factor must fail the 4-sigma gate
+        # a sampler off by a scale factor must fail the gate
         m = MeasureModel(kind="grey", d=4, lam=0.6, sampler_seed=4)
         true_sample = measures.sample
         monkeypatch.setattr(
