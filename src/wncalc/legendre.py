@@ -216,6 +216,7 @@ class _DualCache:
         # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
         vals = np.maximum.accumulate(vals)
         self._values = _Pchip(self.log_r, vals)
+        self.u = None  # u holds this cache in its memo: without the cycle, refcounts free both
 
     def __call__(self, r: float) -> float:
         if self._values is None:

@@ -113,6 +113,8 @@ def minimize_scalar(
             evals += n
         if v < best_v:
             best_x, best_v = x, v
+    if best_x is None:
+        raise ValueError(f"no finite objective value found on [{lo}, {hi}]")
 
     status = STATUS_OK
     edge = 2.0 * step

@@ -3,7 +3,9 @@
 A :class:`WeightFunction` stores ``log u(r)`` rather than ``u(r)`` so the
 built-in catalog (power-exponential family, iterated-exponential Bell
 family, tabulated functions) can be evaluated far beyond double-precision
-overflow.  Class-membership checks (divergence of ``log u(r)/log r``,
+overflow.  Iterated exponentials are evaluated in floats while the value
+stays <= 700; an :class:`ExtendedExp` tower is built only above that.
+Class-membership checks (divergence of ``log u(r)/log r``,
 ``log u(r)/sqrt(r)``, boundedness of ``log u(r)/r`` and convexity of
 ``log u(x^2)``) are finite-range spot checks: every verdict carries the
 range of evidence and means "consistent up to r_max", never a proof.
@@ -48,6 +50,14 @@ class TowerOverflowError(OverflowError):
 # iterated exponentials
 
 
+def _descend(level: int, x: float) -> tuple[int, float]:
+    """Apply exp to x, one level at a time, while x stays <= _LEVEL_DOWN_CAP."""
+    while level > 0 and x <= _LEVEL_DOWN_CAP:
+        x = math.exp(x)
+        level -= 1
+    return level, x
+
+
 @dataclass(frozen=True)
 class ExtendedExp:
     """A magnitude represented as ``exp`` applied `level` times to `mantissa`.
@@ -59,10 +69,7 @@ class ExtendedExp:
     mantissa: float
 
     def normalized(self) -> "ExtendedExp":
-        level, x = self.level, self.mantissa
-        while level > 0 and x <= _LEVEL_DOWN_CAP:
-            x = math.exp(x)
-            level -= 1
+        level, x = _descend(self.level, self.mantissa)
         if level > MAX_TOWER_LEVEL:
             raise TowerOverflowError(f"tower depth {level} exceeds {MAX_TOWER_LEVEL}")
         return ExtendedExp(level, x)
@@ -162,9 +169,8 @@ def power_exp(beta: float, r_max: float = 1e30) -> WeightFunction:
 def bell_weight(k: int, r_max: float | None = None) -> WeightFunction:
     """The Bell family u_k(r) = exp_k(r)/exp_k(0).
 
-    ``log u_k(r) = exp_{k-1}(r) - exp_{k-1}(0)``.  For k >= 3 the result
-    must still fit in a double, which restricts the usable range sharply
-    (a PrecisionError is raised past it).
+    ``log u_k(r) = exp_{k-1}(r) - exp_{k-1}(0)``, in floats up to 700 and as an
+    ExtendedExp above.  For k >= 3 a value past a double raises PrecisionError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -175,7 +181,8 @@ def bell_weight(k: int, r_max: float | None = None) -> WeightFunction:
     def f(r: float) -> float:
         if k == 1:
             return r
-        return exp_k(k - 1, r).to_float() - base
+        level, x = _descend(k - 1, float(r))
+        return x - base if level == 0 else ExtendedExp(level, x).to_float() - base
 
     return WeightFunction(
         name=f"bell(k={k})", _log_eval=f, r_max=r_max, params={"k": k},

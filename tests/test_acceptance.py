@@ -8,9 +8,7 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-import wncalc
 from wncalc import chaos, measures
 from wncalc.chaos import (
     FiniteGaussianModel,

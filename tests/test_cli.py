@@ -2,8 +2,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from wncalc.cli import run
 
 
@@ -80,6 +78,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: value exp^1(")
         assert captured.err.count("\n") == 1
+
+    def test_no_finite_objective_exits_one_with_one_line(self, tmp_path):
+        # log u is infinite from r = 1 on, so every refined candidate is too
+        cfg = tmp_path / "w.json"
+        cfg.write_text('{"family": "custom_table", "params": '
+                       '{"points": [[0, 0], [1, Infinity], [10, Infinity]]}}')
+        res = subprocess.run(
+            [sys.executable, "-m", "wncalc.cli", "legendre", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: no finite objective value found on [")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
 
     def test_sampler_validation_error_exits_one_with_one_line(self):
         # a subprocess, so that numpy warnings would reach the stderr we read

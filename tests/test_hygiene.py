@@ -1,13 +1,14 @@
-"""Static checks on the package sources, with the standard-library ``ast``."""
+"""Static checks on the package and test sources, with the standard-library ``ast``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wncalc"
+ROOT = Path(__file__).resolve().parent.parent
 # __init__ imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in (ROOT / "src" / "wncalc").glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,10 +28,14 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"chaos.py", "cli.py", "legendre.py", "weights.py"}
 
 
+def test_test_files_found():
+    assert {p.name for p in TESTS} >= {"test_acceptance.py", "test_cli.py", "test_hygiene.py"}
+
+
 def test_unused_import_detected():
     assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == ["os", "tau"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
