@@ -125,7 +125,7 @@ def _cmd_legendre(args, seed):
 def _cmd_dual(args, seed):
     u, cfg = _weight_from_args(args)
     rs = np.geomspace(args.r_lo, args.r_hi, args.points)
-    rows = [legendre.dual_function(u, float(r)) for r in rs]
+    rows = legendre.dual_function(u, rs)
     return {
         "weight": _jsonable(u),
         "r": [float(r) for r in rs],

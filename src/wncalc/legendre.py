@@ -1,16 +1,16 @@
 """Legendre transform of growth functions and the dual Legendre function.
 
-``legendre_transform(u, t)`` computes ``inf_{r>0} u(r)/r^t`` in log space;
-``dual_function(u, r)`` computes ``sup_{s>0} exp(2 sqrt(rs))/u(s)``.  Both
-work on ``y = log r`` with a coarse scan, bracketing and golden-section
-refinement, since (log, x^2)-convexity of u does not guarantee convexity
-of the objective in y.
-
-Every solve on one weight scans the same 65 points y_i of
-``optimize.scan_grid``, so the weight keeps one table of ``exp(y_i/2)``
-and ``log u(e^{y_i})`` in ``u._memo``: each solve forms its scan values
-from the table and calls ``log u`` only in the golden-section refinement.
-The values are the ones the objective itself would return, bit for bit.
+``legendre_transform(u, t)`` computes ``inf_{r>0} u(r)/r^t`` and
+``dual_function(u, r)`` computes ``sup_{s>0} exp(2 sqrt(rs))/u(s)``, in log
+space, at one argument or at each element of a 1-D array.  Both are one
+conjugate problem in ``y = log r``, which ``_conjugate`` solves for all
+arguments in one ``optimize.minimize_scalar`` batch: a coarse scan and
+golden-section refinement of several brackets, since (log, x^2)-convexity
+of u does not guarantee convexity of the objective in y.  The scan rows come
+from one table per weight, kept in ``u._memo``, of ``exp(y_i/2)`` and
+``log u(e^{y_i})`` on the 65 points y_i of ``optimize.scan_grid``, so only
+the refinement calls ``log u``; the values are the ones the objective itself
+would return, bit for bit.
 
 ``dual_weight`` materializes u* as a WeightFunction backed by a memoized
 geometric grid with monotone (PCHIP) interpolation, so that transforms of
@@ -74,10 +74,7 @@ def _safe_log_eval(u: WeightFunction, r: float) -> float:
 
 
 def _scan_table(u: WeightFunction) -> tuple[list[float], list[float], list[float]]:
-    """The coarse scan shared by every solve on u: y_i, exp(y_i/2), log u(e^{y_i}).
-
-    Built on first use and kept on u.
-    """
+    """The coarse scan shared by every solve on u, kept on u: y_i, exp(y_i/2), log u(e^{y_i})."""
     table = u._memo.get("scan")
     if table is None:
         ys = optimize.scan_grid(_Y_LO, math.log(u.r_max))
@@ -89,45 +86,49 @@ def _scan_table(u: WeightFunction) -> tuple[list[float], list[float], list[float
     return table
 
 
-def legendre_transform(u: WeightFunction, t: float) -> TransformResult:
-    """log of inf_{r>0} u(r)/r^t, with the minimizer r*."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+def _conjugate(u: WeightFunction, args, dual: bool):
+    """Minimize log u(e^y) - t y over y for each t, or, with ``dual``, minus the max
+    of 2 sqrt(r) e^{y/2} - log u(e^y) for each r, in one batch.  The first failing
+    argument raises, as a loop would; a scalar gives one TransformResult."""
+    ps = np.array(args, dtype=float, ndmin=1).tolist()
+    if any(a < 0 for a in ps):
+        raise ValueError(f"{'r' if dual else 't'} must be >= 0")
     y_hi = math.log(u.r_max)
-    ys, _, logs = _scan_table(u)
+    ys, halves, logs = _scan_table(u)
+    if dual:
+        coef = (2.0 * np.sqrt(ps)).tolist()
+        rows = ([-(c * e - l) for e, l in zip(halves, logs)] for c in coef)
 
-    def g(y: float) -> float:
-        return _safe_log_eval(u, math.exp(y)) - t * y
+        def objective(k, y):
+            return -(coef[k] * math.exp(0.5 * y) - _safe_log_eval(u, math.exp(y)))
+    else:
+        rows = ([l - t * y for y, l in zip(ys, logs)] for t in ps)
 
-    scan = [l - t * y for y, l in zip(ys, logs)]
-    res = optimize.minimize_scalar(g, _Y_LO, y_hi, scan_values=scan)
-    if res.status == optimize.STATUS_UPPER_BOUNDARY and t > 0:
-        raise UnboundedError(
-            f"inf of {u.name}(r)/r^{t} still decreasing at r_max={u.r_max}"
-        )
-    return TransformResult(log_value=res.value, arg_r=math.exp(res.x), status=res.status)
+        def objective(k, y):
+            return _safe_log_eval(u, math.exp(y)) - ps[k] * y
+    res = optimize.minimize_scalar(objective, _Y_LO, y_hi, rows)
+    out = [None] * len(ps)  # sized once: lists grown in step fragment the heap
+    for k, (a, x, v, st) in enumerate(zip(ps, res.x, res.value, res.status)):
+        if st == optimize.STATUS_NO_FINITE:
+            raise ValueError(f"no finite objective value found on [{_Y_LO}, {y_hi}]")
+        if st == optimize.STATUS_UPPER_BOUNDARY and a > 0:
+            raise UnboundedError((
+                f"sup of exp(2 sqrt({a} s))/{u.name}(s) still increasing at r_max={u.r_max}:"
+                " the maximizer lies beyond the search limit r_max,"
+                " or u fails the C_+,1/2 growth condition"
+            ) if dual else f"inf of {u.name}(r)/r^{a} still decreasing at r_max={u.r_max}")
+        out[k] = TransformResult(-v if dual else v, math.exp(x), st)
+    return out if np.ndim(args) else out[0]
 
 
-def dual_function(u: WeightFunction, r: float) -> TransformResult:
-    """log of sup_{s>0} exp(2 sqrt(rs))/u(s), with the maximizer s*."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    y_hi = math.log(u.r_max)
-    sqrt_r = math.sqrt(r)
-    _, halves, logs = _scan_table(u)
+def legendre_transform(u: WeightFunction, t):
+    """log of inf_{r>0} u(r)/r^t, with the minimizer r*; a list for a 1-D array t."""
+    return _conjugate(u, t, dual=False)
 
-    def h(y: float) -> float:
-        return -(2.0 * sqrt_r * math.exp(0.5 * y) - _safe_log_eval(u, math.exp(y)))
 
-    scan = [-(2.0 * sqrt_r * e - l) for e, l in zip(halves, logs)]
-    res = optimize.minimize_scalar(h, _Y_LO, y_hi, scan_values=scan)
-    if res.status == optimize.STATUS_UPPER_BOUNDARY and r > 0:
-        raise UnboundedError(
-            f"sup of exp(2 sqrt({r} s))/{u.name}(s) still increasing at r_max={u.r_max}:"
-            " the maximizer lies beyond the search limit r_max,"
-            " or u fails the C_+,1/2 growth condition"
-        )
-    return TransformResult(log_value=-res.value, arg_r=math.exp(res.x), status=res.status)
+def dual_function(u: WeightFunction, r):
+    """log of sup_{s>0} exp(2 sqrt(rs))/u(s), with the maximizer s*; a list for a 1-D array r."""
+    return _conjugate(u, r, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +211,10 @@ class _DualCache:
         self._values = None
 
     def _build(self):
-        vals = np.array(
-            [dual_function(self.u, math.exp(x)).log_value for x in self.log_r]
-        )
+        n = len(self.log_r)
+        rows = dual_function(self.u, np.fromiter((math.exp(x) for x in self.log_r), float, n))
         # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
-        vals = np.maximum.accumulate(vals)
+        vals = np.maximum.accumulate(np.fromiter((row.log_value for row in rows), float, n))
         self._values = _Pchip(self.log_r, vals)
         self.u = None  # u holds this cache in its memo: without the cycle, refcounts free both
 
@@ -254,8 +254,8 @@ def log_ell_sequence(u: WeightFunction, n_max: int) -> np.ndarray:
     """log ell_u(n) for n <= n_max: a prefix of the longest sequence kept on u."""
     seq = u._memo.get("log_ell", np.empty(0))
     if len(seq) <= n_max:
-        more = [legendre_transform(u, float(n)).log_value for n in range(len(seq), n_max + 1)]
-        seq = u._memo["log_ell"] = np.concatenate((seq, more))
+        more = legendre_transform(u, np.arange(len(seq), n_max + 1, dtype=float))
+        seq = u._memo["log_ell"] = np.concatenate((seq, [row.log_value for row in more]))
     return seq[: n_max + 1]
 
 
@@ -278,7 +278,7 @@ class LegendreTable:
 
 
 def legendre_table(u: WeightFunction, t_grid: Sequence[float]) -> LegendreTable:
-    rows = [legendre_transform(u, t) for t in t_grid]
+    rows = legendre_transform(u, t_grid)
     return LegendreTable(
         t_grid=[float(t) for t in t_grid],
         log_ell=[r.log_value for r in rows],

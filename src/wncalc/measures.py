@@ -326,17 +326,13 @@ def integrability_check(
     p: float,
     n: int,
     threads: int = 1,
-    validate: bool | None = None,
 ) -> IntegrabilityReport:
     """Monte Carlo E_nu[u(|x|^2_{-p})^{1/2}] with ``N_BATCHES`` batch-mean diagnostics.
 
     |x|_{-p} uses the eigenvalues 2j+2, j < d.  Grey models are validated
-    against their characteristic functional before estimating (override
-    with validate=False for exploratory runs).
+    against their characteristic functional before estimating.
     """
-    if validate is None:
-        validate = model.kind == KIND_GREY
-    if validate:
+    if model.kind == KIND_GREY:
         validate_sampler(model, n=min(n, 100_000))
     w = (2.0 * np.arange(model.d) + 2.0) ** (-2.0 * p)
     batch = max(1, n // N_BATCHES)

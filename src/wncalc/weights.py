@@ -227,6 +227,9 @@ def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_tabl
         pts = pts[1:]
     if not pts or pts[0][0] <= 0.0:
         raise ValueError("table needs positive abscissae")
+    for (r, _), (r_next, _) in zip(pts, pts[1:]):
+        if r == r_next:
+            raise ValueError(f"table abscissa r={r} appears twice")
     logr = np.log([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
     r_lo, r_hi = pts[0][0], pts[-1][0]
@@ -284,18 +287,14 @@ def check_log_x2_convex(u: WeightFunction, grid: Sequence[float] | None = None) 
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing")
     fs = np.array([u.log_eval(x * x) for x in xs])
-    worst = math.inf
-    witness = None
-    for i in range(len(xs) - 2):
-        x1, x2, x3 = xs[i], xs[i + 1], xs[i + 2]
-        chord = fs[i] + (fs[i + 2] - fs[i]) * (x2 - x1) / (x3 - x1)
-        defect = chord - fs[i + 1]
-        if defect < worst:
-            worst = defect
-            witness = (float(x1), float(x2), float(x3))
-    verdict = CONSISTENT if worst >= -CONVEXITY_TOL else VIOLATED
-    return ConvexityReport(verdict=verdict, worst_defect=float(worst),
-                           witness=witness if verdict == VIOLATED else None,
+    defects = fs[:-2] + (fs[2:] - fs[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2]) - fs[1:-1]
+    # the first non-finite defect (an infinite log u) fails the test, else the least one
+    bad = np.flatnonzero(~np.isfinite(defects))
+    i = bad[0] if bad.size else int(np.argmin(defects))
+    worst = float(defects[i])
+    verdict = VIOLATED if bad.size or worst < -CONVEXITY_TOL else CONSISTENT
+    return ConvexityReport(verdict=verdict, worst_defect=worst,
+                           witness=tuple(xs[i:i + 3].tolist()) if verdict == VIOLATED else None,
                            tol=CONVEXITY_TOL)
 
 

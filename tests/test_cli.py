@@ -94,6 +94,15 @@ class TestExitCodes:
         assert res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
 
+    def test_repeated_table_abscissa_exits_one_with_one_line(self, capsys, tmp_path):
+        cfg = tmp_path / "w.json"
+        cfg.write_text('{"family": "custom_table", "params": '
+                       '{"points": [[0, 0], [1, 0.5], [1, 5], [10, 6]]}}')
+        assert run(["classify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table abscissa r=1.0 appears twice\n"
+
     def test_sampler_validation_error_exits_one_with_one_line(self):
         # a subprocess, so that numpy warnings would reach the stderr we read
         res = subprocess.run(
@@ -113,6 +122,17 @@ def test_cli_import_needs_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+class TestClassify:
+    def test_infinite_log_u_is_not_log_x2_convex(self, capsys, tmp_path):
+        # every chord defect is NaN: no triple passes the chord test
+        cfg = tmp_path / "w.json"
+        cfg.write_text('{"family": "custom_table", "params": '
+                       '{"points": [[0, 0], [1, Infinity], [10, Infinity]]}}')
+        code, out = run_cli(["classify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert json.loads(out)["results"]["membership"]["log_x2_convex"] == "violated"
 
 
 class TestReports:

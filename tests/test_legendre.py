@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import scalar_optimize
 from wncalc import chaos, legendre, optimize, sequences
 from wncalc.cli import _jsonable
 from wncalc.legendre import (
@@ -201,13 +202,15 @@ class TestEllSequenceMemo:
 
     @staticmethod
     def count_solves(monkeypatch) -> list:
-        # every legendre_transform (and dual_function) solve goes through here
+        # every legendre_transform (and dual_function) batch goes through
+        # here, with one scan row per solve
         solves = []
         minimize = optimize.minimize_scalar
 
-        def counting(*args, **kwargs):
-            solves.append(args[1:3])
-            return minimize(*args, **kwargs)
+        def counting(f, lo, hi, scan_values):
+            rows = list(scan_values)
+            solves.extend(rows)
+            return minimize(f, lo, hi, rows)
 
         monkeypatch.setattr(optimize, "minimize_scalar", counting)
         return solves
@@ -245,7 +248,7 @@ class TestSharedScan:
 
     @staticmethod
     def untabled(u, objective):
-        return optimize.minimize_scalar(objective, legendre._Y_LO, math.log(u.r_max))
+        return scalar_optimize.minimize_scalar(objective, legendre._Y_LO, math.log(u.r_max))
 
     @pytest.mark.parametrize("name", list(WEIGHTS))
     def test_legendre_transform_matches_the_scanning_optimizer(self, name):
@@ -282,19 +285,146 @@ class TestSharedScan:
 
         ref = self.untabled(u, g)
         got = optimize.minimize_scalar(
-            g, legendre._Y_LO, math.log(u.r_max),
-            scan_values=[l - 2.0 * y for y, l in zip(ys, logs)],
+            lambda k, y: g(y), legendre._Y_LO, math.log(u.r_max),
+            scan_values=[[l - 2.0 * y for y, l in zip(ys, logs)]],
         )
-        assert (got.x, got.value, got.status) == (ref.x, ref.value, ref.status)
+        assert (got.x[0], got.value[0], got.status[0]) == (ref.x, ref.value, ref.status)
         assert got.evaluations == ref.evaluations - len(ys)
 
     def test_scan_values_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            optimize.minimize_scalar(abs, -1.0, 1.0, scan_values=[0.0] * 64)
+            optimize.minimize_scalar(lambda k, y: abs(y), -1.0, 1.0, scan_values=[[0.0] * 64])
 
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _first_error(solve_each):
+    try:
+        solve_each()
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+    raise AssertionError("the element-by-element loop raised nothing")
+
+
+class TestBatchSolver:
+    """A batch of transforms equals the frozen scalar solver run once per
+    argument: the same floats, statuses, evaluation counts and first error."""
+
+    WEIGHTS = {
+        "power_exp(0)": lambda: power_exp(0.0),
+        "power_exp(0.3)": lambda: power_exp(0.3),
+        "power_exp(0.5)": lambda: power_exp(0.5),
+        "bell(2)": lambda: bell_weight(2),
+        # log u overflows near r_max = 800, so the scan rows hold inf
+        "bell(2) to 800": lambda: bell_weight(2, r_max=800.0),
+    }
+
+    @staticmethod
+    def solve(monkeypatch, transform, u, args):
+        """The batch results, and the evaluations of its one minimize_scalar call."""
+        evaluations = []
+        minimize = optimize.minimize_scalar
+
+        def recording(*call):
+            res = minimize(*call)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(optimize, "minimize_scalar", recording)
+        rows = transform(u, args)
+        assert len(evaluations) == 1
+        return rows, evaluations[0]
+
+    @staticmethod
+    def assert_bit_equal(rows, refs):
+        assert [row.status for row in rows] == [ref.status for ref, _ in refs]
+        assert _bits([row.log_value for row in rows]) == _bits([ref.log_value for ref, _ in refs])
+        assert _bits([row.arg_r for row in rows]) == _bits([ref.arg_r for ref, _ in refs])
+
+    @pytest.mark.parametrize("name", list(WEIGHTS))
+    def test_dual_function_on_the_default_u_star_grid(self, name, monkeypatch):
+        u = self.WEIGHTS[name]()
+        rs = [math.exp(x) for x in dual_weight(u)._log_eval.log_r.tolist()[::8]]
+        rows, evaluations = self.solve(monkeypatch, dual_function, u, rs)
+        refs = [scalar_optimize.dual_function(u, r) for r in rs]
+        self.assert_bit_equal(rows, refs)
+        assert evaluations == sum(n for _, n in refs)
+
+    @pytest.mark.parametrize("name", list(WEIGHTS))
+    def test_legendre_transform_up_to_forty(self, name, monkeypatch):
+        u = self.WEIGHTS[name]()
+        rows, evaluations = self.solve(monkeypatch, legendre_transform, u, np.arange(41.0))
+        refs = [scalar_optimize.legendre_transform(u, float(n)) for n in range(41)]
+        self.assert_bit_equal(rows, refs)
+        assert evaluations == sum(n for _, n in refs)
+
+    def test_random_scans_match_the_scalar_solver(self):
+        # ties, signed zeros, inf, -inf and NaN in the scans exercise the
+        # candidate order, the fallback without a finite local minimum and
+        # the first-strict-minimum rule
+        rng = np.random.default_rng(5)
+        lo, hi = -3.0, 4.0
+        grid = np.array(optimize.scan_grid(lo, hi))
+        centers, waves = rng.uniform(-4, 5, 300), rng.choice([0.0, 1.0, 3.0], 300)
+
+        def g(k, y):
+            if k % 13 == 0:
+                return math.inf
+            v = (y - centers[k]) ** 2 + waves[k] * math.sin(5.0 * y)
+            return math.nan if waves[k] == 3.0 and y > 3.5 else v
+
+        scans = np.array([[g(k, y) for y in grid.tolist()] for k in range(300)])
+        scans[::3] = np.round(scans[::3])
+        scans[1::7] = -0.0
+        for fill in (math.inf, -math.inf, math.nan):
+            scans[rng.random(scans.shape) < 0.05] = fill
+        scans[2::11] = rng.choice([math.inf, math.nan], (len(scans[2::11]), 65))
+
+        got = optimize.minimize_scalar(g, lo, hi, scans.tolist())
+        points = []  # every point the scalar solver evaluates, failing rows included
+
+        def counted(k, y):
+            points.append(y)
+            return g(k, y)
+
+        for k, row in enumerate(scans.tolist()):
+            try:
+                ref = scalar_optimize.minimize_scalar(lambda y: counted(k, y), lo, hi, row)
+            except ValueError:
+                assert got.status[k] == optimize.STATUS_NO_FINITE
+                continue
+            assert got.status[k] == ref.status
+            assert _bits([got.x[k], got.value[k]]) == _bits([ref.x, ref.value])
+        assert optimize.STATUS_NO_FINITE in got.status
+        assert got.evaluations == len(points)
+
+    def test_a_scalar_argument_is_a_batch_of_one(self):
+        u = power_exp(0.3)
+        assert legendre_transform(u, 2.0) == legendre_transform(u, [2.0])[0]
+        assert dual_function(u, 2.0) == dual_function(u, np.array([2.0]))[0]
+
+    def test_the_first_failing_argument_raises(self):
+        # u = 1 on (0, 0.5]: inf of 1/r^t sits at r_max for every t > 0, and
+        # at t = inf every objective value is infinite
+        u = from_callable("one", lambda r: 0.0, r_max=0.5)
+        kinds = set()
+        for ts in ([0.0, 1.0, math.inf, 2.0], [0.0, math.inf, 1.0]):
+            want = _first_error(lambda: [scalar_optimize.legendre_transform(u, t) for t in ts])
+            with pytest.raises((ValueError, ArithmeticError)) as got:
+                legendre_transform(u, ts)
+            assert (type(got.value), str(got.value)) == (type(want), str(want))
+            kinds.add(type(want))
+        assert kinds == {UnboundedError, ValueError}
+
+    def test_the_first_unbounded_dual_argument_raises(self):
+        u = from_callable("linear", math.log, r_max=1e12)
+        rs = [0.0, 3.0, 5.0]
+        want = _first_error(lambda: [scalar_optimize.dual_function(u, r) for r in rs])
+        with pytest.raises(UnboundedError, match=r"sqrt\(3\.0 s\)") as got:
+            dual_function(u, rs)
+        assert str(got.value) == str(want)
 
 
 class TestPchipMatchesScipy:

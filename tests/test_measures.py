@@ -166,8 +166,8 @@ class TestIntegrability:
     def test_threaded_run_matches_serial_bytes(self):
         m = MeasureModel(kind="grey", d=6, lam=0.5, sampler_seed=9)
         u = power_exp(0.5)
-        r1 = integrability_check(m, u, p=1.0, n=20_000, threads=1, validate=False)
-        r8 = integrability_check(m, u, p=1.0, n=20_000, threads=8, validate=False)
+        r1 = integrability_check(m, u, p=1.0, n=20_000, threads=1)
+        r8 = integrability_check(m, u, p=1.0, n=20_000, threads=8)
         assert r1.batch_means == r8.batch_means
         assert r1.estimate == r8.estimate
 

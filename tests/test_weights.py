@@ -102,6 +102,11 @@ class TestCatalog:
         # boundary round-trip noise is tolerated
         assert u.log_eval(100.0 * (1 + 1e-12)) == pytest.approx(100.0)
 
+    def test_custom_table_rejects_a_repeated_abscissa(self):
+        # np.interp needs increasing knots: it would jump from 0.5 to 5 at r = 1
+        with pytest.raises(ValueError, match="r=1.0 appears twice"):
+            custom_table([(0, 0), (1, 0.5), (1, 5), (10, 6)])
+
     def test_custom_table_interpolates_in_log_r(self):
         u = custom_table([(1.0, 0.0), (100.0, 2.0)])
         assert u.log_eval(10.0) == pytest.approx(1.0)
@@ -134,6 +139,22 @@ class TestConvexity:
         rep = check_log_x2_convex(u)
         assert rep.verdict == VIOLATED
         assert rep.witness is not None
+
+    def test_infinite_log_u_is_flagged_with_its_triple(self):
+        # log u(x^2) = x^2 up to x = 2, then inf: the chord over (1, 1.5, 2) is
+        # infinite, and the next triple's is inf - inf = NaN
+        u = from_callable("wall", lambda r: r if r < 4.0 else math.inf, r_max=10.0)
+        rep = check_log_x2_convex(u, [0.5, 1.0, 1.5, 2.0, 2.5])
+        assert rep.verdict == VIOLATED
+        assert rep.witness == (1.0, 1.5, 2.0)
+        assert not math.isfinite(rep.worst_defect)
+
+    def test_nan_defect_is_flagged(self):
+        u = custom_table([[0, 0], [1, math.inf], [10, math.inf]])
+        with np.errstate(invalid="ignore"):
+            rep = check_log_x2_convex(u, [1.0, 2.0, 3.0])
+        assert rep.verdict == VIOLATED
+        assert rep.witness == (1.0, 2.0, 3.0)
 
 
 class TestClassify:
