@@ -8,9 +8,9 @@ of a batch share one scan grid, and the caller supplies the scan values.
 
 Each bracket is refined on its own, in Python floats.  A refinement of all
 brackets in lockstep in numpy arrays gave the same bits, but its short-lived
-arrays, allocated while ``chaos-bounds`` keeps its 10 MB monomial matrix,
-fragmented the heap: that benchmark workload's peak RSS rose by about 15 MB
-in 3 of 4 full runs on a 2-core VM.
+arrays fragmented the heap around the 16 MB monomial matrix of ``chaos-bounds``
+(peak RSS +15 MB in 3 of 4 runs, 2-core VM) while an (S, K, d) power array was
+still built for it.  No such array is built now; the lockstep is not re-measured.
 """
 
 from __future__ import annotations

@@ -287,7 +287,9 @@ def check_log_x2_convex(u: WeightFunction, grid: Sequence[float] | None = None) 
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing")
     fs = np.array([u.log_eval(x * x) for x in xs])
-    defects = fs[:-2] + (fs[2:] - fs[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2]) - fs[1:-1]
+    with np.errstate(invalid="ignore"):
+        defects = (fs[:-2] + (fs[2:] - fs[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
+                   - fs[1:-1])
     # the first non-finite defect (an infinite log u) fails the test, else the least one
     bad = np.flatnonzero(~np.isfinite(defects))
     i = bad[0] if bad.size else int(np.argmin(defects))
@@ -333,9 +335,10 @@ def classify(u: WeightFunction, r_max: float | None = None) -> ClassMembership:
     r_half = logu / np.sqrt(grid)
     r_lin = logu / grid
 
-    c_log = CONSISTENT if _diverging(r_log) else VIOLATED
-    c_half = CONSISTENT if _diverging(r_half) else VIOLATED
-    bounded = _bounded(r_lin)
+    with np.errstate(invalid="ignore"):  # inf - inf in a ratio tail reads as violated
+        c_log = CONSISTENT if _diverging(r_log) else VIOLATED
+        c_half = CONSISTENT if _diverging(r_half) else VIOLATED
+        bounded = _bounded(r_lin)
     c_half_one = CONSISTENT if (c_half == CONSISTENT and bounded) else VIOLATED
     convex = check_log_x2_convex(u, np.sqrt(default_grid(r_max)))
     return ClassMembership(

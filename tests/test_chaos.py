@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mode_products_oracle as oracle
 from wncalc import chaos
 from wncalc.chaos import (
     ChaosVector,
@@ -135,6 +137,16 @@ class TestTransforms:
         want = 2.0 * math.exp(-0.5 * float(np.sum(xi * xi)))
         assert t_transform(Phi, xi) == pytest.approx(want, rel=1e-12)
 
+    def test_probe_of_the_wrong_width_is_rejected(self, model):
+        # a width-1 probe must not broadcast to every mode as S(0.5, 0.5, 0.5)
+        Phi = random_vector(model, np.random.default_rng(7), chaos.ROLE_DISTRIBUTION)
+        for call in (lambda: s_transform(Phi, [0.5]),
+                     lambda: t_transform(Phi, [0.5]),
+                     lambda: s_transform_many(Phi, np.full((4, 1), 0.5)),
+                     lambda: s_transform_many(Phi, np.full((4, 4), 0.5))):
+            with pytest.raises(ValueError, match="must have 3 entries, got [14]"):
+                call()
+
     def test_coherent_reproducing_property(self):
         big = FiniteGaussianModel(d=2, N=20)
         rng = np.random.default_rng(5)
@@ -167,6 +179,55 @@ class TestPointEval:
         v2, v3 = point_eval(p2, Z), point_eval(p3, Z)
         assert np.mean(v2 * v3) == pytest.approx(0.0, abs=0.05)
         assert np.mean(v2 * v2) == pytest.approx(2.0, rel=0.05)
+
+    def test_sample_of_the_wrong_width_is_rejected(self, model):
+        phi = chaos_vector(model, {(1, 1, 0): 1.0})
+        for width in (2, 4):
+            with pytest.raises(ValueError, match=f"must have 3 entries, got {width}"):
+                point_eval(phi, np.zeros((5, width)))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
+
+
+class TestModeProducts:
+    """One helper forms every product over modes, with the bits of the three
+    expressions it replaced (kept in ``mode_products_oracle``)."""
+
+    @pytest.mark.parametrize("d, N, probes", [(4, 6, 64), (6, 10, 128), (1, 5, 3),
+                                              (2, 20, 2), (3, 4, 1), (3, 0, 5)])
+    def test_monomials_and_coherent_states_match_the_oracle(self, d, N, probes):
+        model = FiniteGaussianModel(d=d, N=N)
+        rng = np.random.default_rng(d * 100 + N)
+        xis = gaussian_sample(rng, math.ceil(probes / 4), d)[:probes]
+        assert same_bits(chaos._monomials(model, xis), oracle.monomials(model, xis))
+        for xi in xis[:3]:
+            assert same_bits(coherent_state(model, xi).coeffs,
+                             oracle.coherent_coeffs(model, xi))
+
+    def test_point_eval_over_several_blocks_matches_the_oracle(self):
+        model = FiniteGaussianModel(d=4, N=6)
+        rows_per_block = chaos._BLOCK_BYTES // (model.n_coeffs * model.d * 8)
+        X = 2.0 * np.random.default_rng(8).standard_normal((3 * rows_per_block + 7, 4))
+        phi = random_vector(model, np.random.default_rng(9))
+        P = oracle.hermite_products(model, X)
+        assert same_bits(chaos._mode_products(model, chaos._hermite_table(X, model.N)), P)
+        want = P @ (np.exp(model.log_mult) * phi.coeffs)
+        assert same_bits(point_eval(phi, X), want)
+
+    def test_monomial_build_holds_no_probe_by_index_by_mode_array(self):
+        model = FiniteGaussianModel(d=6, N=10)
+        xis = gaussian_sample(np.random.default_rng(10), 32, 6)
+        tracemalloc.start()
+        try:
+            V = chaos._monomials(model, xis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert V.shape == (128, 8008)
+        assert peak < 2 * V.nbytes
 
 
 class TestBounds:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -133,6 +134,18 @@ class TestClassify:
         code, out = run_cli(["classify", "--config", str(cfg)], capsys)
         assert code == 2
         assert json.loads(out)["results"]["membership"]["log_x2_convex"] == "violated"
+
+    def test_infinite_log_u_writes_no_warning(self, tmp_path):
+        # a subprocess, so that numpy warnings would reach the stderr we read
+        cfg = tmp_path / "w.json"
+        cfg.write_text('{"family": "custom_table", "params": '
+                       '{"points": [[0, 0], [1, Infinity], [10, Infinity]]}}')
+        res = subprocess.run(
+            [sys.executable, "-m", "wncalc.cli", "classify", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 2
+        assert re.fullmatch(r"wall_time: \d+\.\d{3} s\n", res.stderr)
 
 
 class TestReports:
