@@ -319,14 +319,16 @@ def _fit_K(vec: ChaosVector, w: WeightFunction, a: float, level: float,
     return float(np.max(vals * np.exp(-0.5 * logw)))
 
 
-def _check_bound(vec: ChaosVector, w: WeightFunction, a: float, p: float, q: float,
-                 sample: np.ndarray, level: float, order: float) -> BoundCheckReport:
-    """Fit K from |S vec| <= K w(a|xi|^2_level)^(1/2) and check
-    sum_n |f_n|_order^2 / ell_w(n) <= K^2 (1 - a e^2 ||i||_HS^2)^(-1)."""
+def _check_bound(vec: ChaosVector, u: WeightFunction, a: float, p: float, q: float,
+                 sample: np.ndarray, dual: bool) -> BoundCheckReport:
+    """Fit K from |S vec| <= K w(a|xi|^2_level)^(1/2) and check sum_n |f_n|_order^2 /
+    ell_w(n) <= K^2 (1 - a e^2 ||i||_HS^2)^(-1), with w = u, or w = u* under ``dual``."""
     hs = hs_norm_inclusion(max(p, q), min(p, q), d=vec.model.d)
     contraction = a * math.e**2 * hs
     if contraction >= 1.0:
         raise PremiseError(f"a e^2 ||i||_HS^2 = {contraction} >= 1")
+    # u* only once the premise holds: a failed premise builds nothing
+    w, level, order = (dual_of(u), p, -q) if dual else (u, -p, q)
     K = _fit_K(vec, w, a, level, sample)
     lhs = weighted_norm(vec, log_ell_sequence(w, vec.model.N), order) ** 2
     rhs = K**2 / (1.0 - contraction)
@@ -343,7 +345,7 @@ def check_test_bound(phi: ChaosVector, u: WeightFunction, a: float, p: float,
         raise ValueError("test-side check needs q < p")
     if phi.role != ROLE_TEST:
         raise ValueError("check_test_bound expects a test-role vector")
-    return _check_bound(phi, u, a, p, q, sample, level=-p, order=q)
+    return _check_bound(phi, u, a, p, q, sample, dual=False)
 
 
 def check_dist_bound(Phi: ChaosVector, u: WeightFunction, a: float, p: float,
@@ -354,7 +356,7 @@ def check_dist_bound(Phi: ChaosVector, u: WeightFunction, a: float, p: float,
         raise ValueError("distribution-side check needs q > p")
     if Phi.role != ROLE_DISTRIBUTION:
         raise ValueError("check_dist_bound expects a distribution-role vector")
-    return _check_bound(Phi, dual_of(u), a, p, q, sample, level=p, order=-q)
+    return _check_bound(Phi, u, a, p, q, sample, dual=True)
 
 
 def gaussian_sample(rng, n_per_scale: int, d: int) -> np.ndarray:

@@ -12,26 +12,28 @@ from one table per weight, kept in ``u._memo``, of ``exp(y_i/2)`` and
 the refinement calls ``log u``; the values are the ones the objective itself
 would return, bit for bit.
 
-``dual_weight`` materializes u* as a WeightFunction backed by a memoized
-geometric grid with monotone (PCHIP) interpolation, so that transforms of
-transforms (the dual-sequence relation) stay tractable.  The PCHIP
-coefficients are computed here in numpy with the steps and the operation
-order of ``scipy.interpolate.PchipInterpolator`` (``extrapolate=False``),
-and a scalar is evaluated in plain Python as scipy's ``PPoly`` does, so the
-values are scipy's to the bit without importing scipy.
+``dual_weight`` builds u* when it is called: one ``dual_function`` batch on
+a geometric grid, clipped to be nondecreasing and interpolated by PCHIP in
+log r, so that transforms of transforms (the dual-sequence relation) stay
+tractable.  The returned WeightFunction holds only the interpolant and the
+grid's lower end, never u.  The PCHIP coefficients are computed here in
+numpy with the steps and the operation order of
+``scipy.interpolate.PchipInterpolator`` (``extrapolate=False``), and a
+scalar is evaluated in plain Python as scipy's ``PPoly`` does, so the values
+are scipy's to the bit without importing scipy.
 
 ``dual_of(u)`` is the one u* of a weight object: the default-grid
-``dual_weight(u)``, built on first use and kept on u, so the dual-sequence
-check and the distribution-side chaos bounds grade against the same u*.
-A call of ``dual_weight(u, ...)`` with a custom grid is not memoized.
-Likewise ``log_ell_sequence(u, n)`` keeps the longest log ell_u(0..n)
-computed so far on u, and every sequence check and chaos norm reads a
-prefix of it.
+``dual_weight(u)``, kept on u once built, so the dual-sequence check and the
+distribution-side chaos bounds grade against the same u*; a custom grid is
+not memoized.  Likewise ``log_ell_sequence(u, n)`` keeps the longest
+log ell_u(0..n) computed so far on u, and every sequence check and chaos
+norm reads a prefix of it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -201,38 +203,25 @@ class _Pchip:
         return ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
 
 
-class _DualCache:
-    """Geometric-grid cache of log u*(r) with PCHIP interpolation in log r."""
-
-    def __init__(self, u: WeightFunction, r_lo: float, r_hi: float, per_decade: int):
-        self.u = u
-        n = max(2, int(round(per_decade * math.log10(r_hi / r_lo))) + 1)
-        self.log_r = np.linspace(math.log(r_lo), math.log(r_hi), n)
-        self._values = None
-
-    def _build(self):
-        n = len(self.log_r)
-        rows = dual_function(self.u, np.fromiter((math.exp(x) for x in self.log_r), float, n))
-        # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
-        vals = np.maximum.accumulate(np.fromiter((row.log_value for row in rows), float, n))
-        self._values = _Pchip(self.log_r, vals)
-        self.u = None  # u holds this cache in its memo: without the cycle, refcounts free both
-
-    def __call__(self, r: float) -> float:
-        if self._values is None:
-            self._build()
-        x = math.log(r)
-        if x < self.log_r[0]:
-            # below the cache: u* continuous with u*(0) = 1, interpolate to 0
-            return self._values(self._values.knots[0]) * (r / math.exp(self.log_r[0]))
-        return self._values(x)
+def _dual_log_eval(pchip: _Pchip, r_lo: float, r: float) -> float:
+    """log u*(r): the interpolant at log r, and linear in r below the grid start r_lo."""
+    x = math.log(r)
+    if x < pchip.knots[0]:
+        # below the grid: u* continuous with u*(0) = 1, interpolate to 0
+        return pchip(pchip.knots[0]) * (r / r_lo)
+    return pchip(x)
 
 
 def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 256) -> WeightFunction:
-    cache = _DualCache(u, DUAL_R_LO, r_max, per_decade)
+    """u* by PCHIP in log r through one dual_function batch on [DUAL_R_LO, r_max]."""
+    n = max(2, int(round(per_decade * math.log10(r_max / DUAL_R_LO))) + 1)
+    log_r = np.linspace(math.log(DUAL_R_LO), math.log(r_max), n)
+    rows = dual_function(u, np.fromiter((math.exp(x) for x in log_r), float, n))
+    # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
+    vals = np.maximum.accumulate(np.fromiter((row.log_value for row in rows), float, n))
     return from_callable(
         name=f"dual({u.name})",
-        log_eval=cache,
+        log_eval=functools.partial(_dual_log_eval, _Pchip(log_r, vals), math.exp(log_r[0])),
         r_max=r_max,
         params={"dual_of": u.name, **{f"base_{k}": v for k, v in u.params.items()}},
     )

@@ -4,8 +4,8 @@ Carlo integrability diagnostics.
 
 The grey-noise sampler uses the Gaussian scale-mixture representation
 x = sqrt(2) S^(-lambda/2) z with S a one-sided stable variable (Kanter's
-construction).  The representation is never trusted blindly: callers can
-(and the integrability entry points do) gate it behind an empirical
+construction).  The representation is never trusted blindly: every Monte
+Carlo verdict on a grey model first passes an empirical
 characteristic-function validation against the Mittag-Leffler functional.
 
 Divergence of an integral is a graded verdict from batch-mean stability,
@@ -112,7 +112,7 @@ def mittag_leffler(lam: float, t: float) -> float:
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must be in (0, 1]")
-    if t < 0:
+    if not t >= 0:  # NaN too: the series would never stop
         raise ValueError("t must be >= 0")
     if t > ML_T_MAX:
         raise ValueError(f"t={t} beyond configured range {ML_T_MAX}")
@@ -175,6 +175,8 @@ def check_positive_definite(char_fn, points, tol: float = 1e-8) -> PositiveDefin
     m = len(pts)
     if m < 2:
         raise ValueError("need at least 2 points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     G = np.empty((m, m), dtype=complex)
     for j in range(m):
         for k in range(m):
@@ -220,15 +222,21 @@ def _stable_one_sided(lam: float, size: int, rng) -> np.ndarray:
     """One-sided stable draws with Laplace transform exp(-u^lam) (Kanter)."""
     U = rng.uniform(0.0, math.pi, size)
     E = rng.exponential(1.0, size)
-    # from lam ~ 0.984 the last factor underflows to 0; the inf and nan draws
-    # that follow are rejected by validate_sampler, so numpy need not warn
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # from lam ~ 0.984 the sine powers under- or overflow near U = 0 and
+    # U = pi, so a is 0, inf or 0/0; S is redone in log space on those rows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = (
             np.sin((1.0 - lam) * U)
             * np.sin(lam * U) ** (lam / (1.0 - lam))
             / np.sin(U) ** (1.0 / (1.0 - lam))
         )
-    return (a / E) ** ((1.0 - lam) / lam)
+        S = (a / E) ** ((1.0 - lam) / lam)
+        bad = ~((S > 0.0) & (S < math.inf))
+        U, E = U[bad], E[bad]
+        log_a = (np.log(np.sin((1.0 - lam) * U)) + (lam / (1.0 - lam)) * np.log(np.sin(lam * U))
+                 - np.log(np.sin(U)) / (1.0 - lam))
+        S[bad] = np.exp((1.0 - lam) / lam * (log_a - np.log(E)))
+    return S
 
 
 def sample(model: MeasureModel, n: int, rng=None) -> np.ndarray:
@@ -312,8 +320,11 @@ def _batch_verdict(batch_means: np.ndarray) -> tuple[str, float]:
     return VERDICT_INCONCLUSIVE, cv
 
 
-def _run_batches(worker, seed: int, threads: int = 1) -> list:
-    seeds = np.random.SeedSequence(seed).spawn(N_BATCHES)
+def _run_batches(model: MeasureModel, n: int, worker, threads: int = 1) -> list:
+    """worker(b, seed) per batch, once a grey model's sampler passes validate_sampler."""
+    if model.kind == KIND_GREY:
+        validate_sampler(model, n=min(n, 100_000))
+    seeds = np.random.SeedSequence(model.sampler_seed).spawn(N_BATCHES)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(worker, range(N_BATCHES), seeds))
@@ -329,11 +340,8 @@ def integrability_check(
 ) -> IntegrabilityReport:
     """Monte Carlo E_nu[u(|x|^2_{-p})^{1/2}] with ``N_BATCHES`` batch-mean diagnostics.
 
-    |x|_{-p} uses the eigenvalues 2j+2, j < d.  Grey models are validated
-    against their characteristic functional before estimating.
+    |x|_{-p} uses the eigenvalues 2j+2, j < d.
     """
-    if model.kind == KIND_GREY:
-        validate_sampler(model, n=min(n, 100_000))
     w = (2.0 * np.arange(model.d) + 2.0) ** (-2.0 * p)
     batch = max(1, n // N_BATCHES)
 
@@ -347,7 +355,7 @@ def integrability_check(
             f = np.exp(vals)
         return float(np.mean(np.minimum(f, 1e300)))
 
-    means = np.array(_run_batches(worker, model.sampler_seed, threads))
+    means = np.array(_run_batches(model, n, worker, threads))
     verdict, cv = _batch_verdict(means)
     return IntegrabilityReport(
         verdict=verdict,
@@ -389,7 +397,7 @@ def ls_inclusion_check(
         v = np.abs(point_eval(phi, x))
         return [float(np.mean(v**s)) for s in s_list]
 
-    rows = np.array(_run_batches(worker, model.sampler_seed, threads))
+    rows = np.array(_run_batches(model, n, worker, threads))
     out = []
     for i, s in enumerate(s_list):
         means = rows[:, i]

@@ -248,6 +248,14 @@ class TestBounds:
         with pytest.raises(PremiseError):
             check_test_bound(phi, power_exp(0.0), a=2.0, p=2.0, q=0.0, sample=sample)
 
+    def test_dist_premise_error_builds_no_dual(self, model):
+        rng = np.random.default_rng(7)
+        Phi = random_vector(model, rng, chaos.ROLE_DISTRIBUTION)
+        u = power_exp(0.0)
+        with pytest.raises(PremiseError):
+            check_dist_bound(Phi, u, a=2.0, p=0.0, q=2.0, sample=gaussian_sample(rng, 4, 3))
+        assert "dual" not in u._memo
+
     def test_bound_checks_hold_on_random_vectors(self, model):
         rng = np.random.default_rng(8)
         sample = gaussian_sample(rng, 8, 3)

@@ -105,15 +105,29 @@ class TestExitCodes:
         assert captured.err == "error: table abscissa r=1.0 appears twice\n"
 
     def test_sampler_validation_error_exits_one_with_one_line(self):
-        # a subprocess, so that numpy warnings would reach the stderr we read
+        # a subprocess, so that numpy warnings would reach the stderr we read;
+        # this seed is the gate's rare false alarm on a correct sampler
         res = subprocess.run(
             [sys.executable, "-m", "wncalc.cli", "integrability", "--model", "grey",
-             "--lambda", "0.99", "--beta", "0.01"],
+             "--lambda", "0.5", "--dim", "6", "--samples", "20000",
+             "--seed", "1474054166", "--beta", "0.5"],
             capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr == "error: grey sampler: 16 of 100000 draws are not finite\n"
+        assert res.stderr == "error: grey sampler: worst deviation 4.87 sigma > 4.61\n"
+
+    def test_grey_lambda_near_one_converges_without_warnings(self):
+        # the Kanter draws of the rows whose direct formula under- or
+        # overflows are redone in log space, so none is rejected
+        res = subprocess.run(
+            [sys.executable, "-m", "wncalc.cli", "integrability", "--model", "grey",
+             "--lambda", "0.995", "--beta", "0.01", "--samples", "100000", "--seed", "0"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["results"]["integrability"]["verdict"] == "converged"
+        assert res.stderr.startswith("wall_time: ") and res.stderr.count("\n") == 1
 
 
 def test_cli_import_needs_no_scipy():

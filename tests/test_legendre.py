@@ -191,6 +191,24 @@ class TestDualOf:
         finally:
             gc.enable()
 
+    def test_a_failed_dual_build_leaves_nothing_holding_u(self):
+        u = from_callable("slow", lambda r: r ** 0.4)
+        # plain try, not pytest.raises: a kept traceback would hold u
+        try:
+            dual_of(u).log_eval(1.0)
+        except UnboundedError:
+            pass
+        else:
+            raise AssertionError("u outside C_+,1/2 gave a u*")
+        assert "dual" not in u._memo
+        ref = weakref.ref(u)
+        gc.disable()
+        try:
+            del u
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_memo_stays_out_of_reports(self):
         u = power_exp(0.0)
         dual_of(u)
@@ -345,9 +363,19 @@ class TestBatchSolver:
 
     @pytest.mark.parametrize("name", list(WEIGHTS))
     def test_dual_function_on_the_default_u_star_grid(self, name, monkeypatch):
+        # the batch under test is the one dual_function call of a u* build
         u = self.WEIGHTS[name]()
-        rs = [math.exp(x) for x in dual_weight(u)._log_eval.log_r.tolist()[::8]]
-        rows, evaluations = self.solve(monkeypatch, dual_function, u, rs)
+        batches = []
+        solve = legendre.dual_function
+
+        def recording(w, rs):
+            batches.append((rs.tolist(), solve(w, rs)))
+            return batches[-1][1]
+
+        monkeypatch.setattr(legendre, "dual_function", recording)
+        ustar, evaluations = self.solve(monkeypatch, lambda w, _: dual_weight(w), u, None)
+        [(rs, rows)] = batches
+        assert rs == [math.exp(x) for x in ustar._log_eval.args[0].knots]
         refs = [scalar_optimize.dual_function(u, r) for r in rs]
         self.assert_bit_equal(rows, refs)
         assert evaluations == sum(n for _, n in refs)
@@ -436,8 +464,8 @@ class TestPchipMatchesScipy:
 
         u = power_exp(beta)
         ustar = dual_weight(u, per_decade=16)
-        cache = ustar._log_eval
-        x = cache.log_r
+        pchip = ustar._log_eval.args[0]
+        x = np.array(pchip.knots)
         vals = np.maximum.accumulate(
             np.array([dual_function(u, math.exp(v)).log_value for v in x])
         )
@@ -451,22 +479,22 @@ class TestPchipMatchesScipy:
             np.nextafter(x[:-1], np.inf),
             np.nextafter(x[1:], -np.inf),
         ]).tolist()
-        # through the weight, which builds the cache: u*(r) is the interpolant at log r
+        # through the weight: u*(r) is the interpolant at log r
         rs = np.geomspace(1e-8, 1e8, 50)[1:-1].tolist()
         assert _bits([ustar.log_eval(r) for r in rs]) == _bits(
             [float(ref(math.log(r))) for r in rs]
         )
-        assert _bits([cache._values(q) for q in queries]) == _bits(
+        assert _bits([pchip(q) for q in queries]) == _bits(
             [float(ref(q)) for q in queries]
         )
 
         # below the grid: linear in r down to u*(0) = 1
         for r in (1e-9, 3e-12, 1e-20):
             want = float(ref(x[0])) * (r / math.exp(x[0]))
-            assert _bits([cache(r)]) == _bits([want])
+            assert _bits([ustar.log_eval(r)]) == _bits([want])
         # above the grid: NaN, as with extrapolate=False
         above = float(np.nextafter(x[-1], np.inf))
-        assert math.isnan(cache._values(above)) and math.isnan(float(ref(above)))
+        assert math.isnan(pchip(above)) and math.isnan(float(ref(above)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_grids_hit_every_slope_branch(self, seed):

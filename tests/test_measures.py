@@ -46,6 +46,11 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(0.5, -1.0)
 
+    def test_nan_argument_is_rejected(self):
+        # NaN passes a `t < 0` test, and the float series never ends on it
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            mittag_leffler(0.5, math.nan)
+
 
 class TestCharacteristicFunctionals:
     def test_grey_lambda_one_is_gaussian_with_doubled_variance(self):
@@ -75,6 +80,15 @@ class TestCharacteristicFunctionals:
         pts = rng.standard_normal((8, 2)) * 2.0
         rep = check_positive_definite(fake_char, pts)
         assert rep.verdict == "violated"
+
+    @pytest.mark.parametrize("kind", ["gaussian", "grey"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_are_rejected(self, kind, bad):
+        # not read as a Gram matrix that is "not Hermitian"
+        model = MeasureModel(kind=kind, d=2, lam=0.5)
+        pts = np.array([[0.0, 0.1], [bad, 0.2], [0.3, 0.4]])
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            check_positive_definite(model.char_fn, pts)
 
 
 class TestSamplers:
@@ -132,16 +146,43 @@ class TestSamplers:
         with pytest.raises(SamplerValidationError):
             validate_sampler(m, n=50_000)
 
-    def test_validation_rejects_non_finite_draws(self):
-        # near lambda = 1 the Kanter draws overflow to inf/NaN; their NaN
-        # z-scores must not let the sampler pass the gate
-        m = MeasureModel(kind="grey", d=6, lam=0.99, sampler_seed=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bad = int(np.count_nonzero(~np.isfinite(sample(m, 100_000)).all(axis=1)))
-            assert bad > 0
-            with pytest.raises(SamplerValidationError,
-                               match=f"{bad} of 100000 draws are not finite"):
-                validate_sampler(m, n=100_000)
+    def test_validation_rejects_non_finite_draws(self, monkeypatch):
+        # inf and NaN draws give NaN z-scores, which must not let the
+        # sampler pass the gate
+        m = MeasureModel(kind="grey", d=6, lam=0.6, sampler_seed=0)
+        true_sample = measures.sample
+
+        def spoiled(model, n, rng=None):
+            x = true_sample(model, n, rng)
+            x[::1000, 0] = math.inf
+            x[1::1000, 1] = math.nan
+            return x
+
+        monkeypatch.setattr(measures, "sample", spoiled)
+        with pytest.raises(SamplerValidationError,
+                           match="200 of 100000 draws are not finite"):
+            validate_sampler(m, n=100_000)
+
+    @pytest.mark.parametrize("lam", [0.984, 0.99, 0.995, 0.999])
+    def test_kanter_draws_near_one_are_finite_and_stable(self, lam):
+        n = 200_000
+        S = measures._stable_one_sided(lam, n, np.random.default_rng(3))
+        assert np.all((S > 0.0) & (S < math.inf))
+        # the direct formula, on the same U and E
+        rng = np.random.default_rng(3)
+        U, E = rng.uniform(0.0, math.pi, n), rng.exponential(1.0, n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = (np.sin((1.0 - lam) * U) * np.sin(lam * U) ** (lam / (1.0 - lam))
+                 / np.sin(U) ** (1.0 / (1.0 - lam)))
+            direct = (a / E) ** ((1.0 - lam) / lam)
+        good = (direct > 0.0) & (direct < math.inf)
+        assert not good.all()
+        assert S[good].tobytes() == direct[good].tobytes()
+        # the redone rows follow the law too: E[exp(-u S)] = exp(-u^lam)
+        for u in (0.5, 1.0, 2.0):
+            emp = np.exp(-u * S)
+            se = float(np.std(emp) / math.sqrt(n))
+            assert float(np.mean(emp)) == pytest.approx(math.exp(-(u**lam)), abs=4 * se)
 
 
 class TestIntegrability:
@@ -189,3 +230,15 @@ class TestMomentCheck:
         assert [r.verdict for r in reports] == ["converged", "converged"]
         # E[|2 + Z|^2] = 4 + 1 for standard normal Z
         assert reports[1].estimate == pytest.approx(5.0, rel=0.05)
+
+    def test_grey_moments_pass_the_sampler_gate(self, monkeypatch):
+        from wncalc.chaos import FiniteGaussianModel, chaos_vector
+
+        phi = chaos_vector(FiniteGaussianModel(d=3, N=2), {(1, 0, 0): 1.0, (0, 0, 0): 2.0})
+        m = MeasureModel(kind="grey", d=3, lam=0.6, sampler_seed=10)
+        true_sample = measures.sample
+        monkeypatch.setattr(
+            measures, "sample", lambda model, n, rng=None: 1.5 * true_sample(model, n, rng)
+        )
+        with pytest.raises(SamplerValidationError):
+            ls_inclusion_check(m, phi, s_list=[1.0, 2.0], n=40_000)
