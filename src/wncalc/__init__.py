@@ -13,16 +13,13 @@ from .weights import (
     ClassMembership,
     ConvexityReport,
     DomainError,
-    ExtendedExp,
     FunctionEquivalenceReport,
     PrecisionError,
-    TowerOverflowError,
     WeightFunction,
     bell_weight,
     check_log_x2_convex,
     classify,
     custom_table,
-    exp_k,
     from_callable,
     from_config,
     func_equivalent,

@@ -4,7 +4,7 @@ Every verification in the library is reachable from one subcommand; all
 reports are JSON on stdout (``--out`` redirects to a file).  Exit code 0
 means every verdict in the report is consistent/converged, 2 flags a
 verdict failure, 1 a usage or config error or a computation the library
-refuses (unbounded transform, precision or tower overflow, a sampler that
+refuses (an unbounded transform, a value past a double, a sampler that
 fails validation), reported as one ``error: ...`` line on stderr.
 
 Reports are byte-identical for the same resolved config and seed: keys
@@ -398,9 +398,8 @@ def run(argv=None) -> int:
     t0 = time.monotonic()
     try:
         results, config = args.fn(args, seed)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            legendre.UnboundedError, weights.PrecisionError,
-            weights.TowerOverflowError, measures.SamplerValidationError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError,
+            measures.SamplerValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.monotonic() - t0

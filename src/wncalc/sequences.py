@@ -2,7 +2,7 @@
 and the admissibility checks (A1)/(A2).
 
 Bell numbers of order k are the Taylor coefficients n! [r^n] of
-exp_k(r)/exp_k(0), computed by formal power-series exponentiation composed
+exp^k(r)/exp^k(0), computed by formal power-series exponentiation composed
 k-1 times.  Order 2 is exact big-integer arithmetic; from order 3 on the
 normalization constants exp_j(0) are transcendental, so the same recurrence
 runs in high-precision mpmath floats instead (see the module notes in the
@@ -43,14 +43,13 @@ def _exp_series(coeffs: list, n_max: int, one):
     for n in range(1, n_max + 1):
         s = 0
         for j in range(1, n + 1):
-            if j < len(coeffs):
-                s += j * coeffs[j] * b[n - j]
+            s += j * coeffs[j] * b[n - j]
         b.append(s / n)
     return b
 
 
 def bell_numbers(k: int, n_max: int) -> WeightSequence:
-    """b_k(0..n_max): Taylor coefficients n! [r^n] of exp_k(r)/exp_k(0)."""
+    """b_k(0..n_max): Taylor coefficients n! [r^n] of exp^k(r)/exp^k(0)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0 <= n_max <= MAX_BELL_N:

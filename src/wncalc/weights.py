@@ -3,8 +3,8 @@
 A :class:`WeightFunction` stores ``log u(r)`` rather than ``u(r)`` so the
 built-in catalog (power-exponential family, iterated-exponential Bell
 family, tabulated functions) can be evaluated far beyond double-precision
-overflow.  Iterated exponentials are evaluated in floats while the value
-stays <= 700; an :class:`ExtendedExp` tower is built only above that.
+overflow.  Iterated exponentials are evaluated in floats; a value past a
+double raises :class:`PrecisionError`.
 Class-membership checks (divergence of ``log u(r)/log r``,
 ``log u(r)/sqrt(r)``, boundedness of ``log u(r)/r`` and convexity of
 ``log u(x^2)``) are finite-range spot checks: every verdict carries the
@@ -22,8 +22,7 @@ import numpy as np
 CONSISTENT = "consistent"
 VIOLATED = "violated"
 
-MAX_TOWER_LEVEL = 8
-_LEVEL_DOWN_CAP = 700.0  # exp(700) is representable; above this keep the tower
+_LEVEL_DOWN_CAP = 700.0  # exp(700) is representable; one more level is not
 
 DEFAULT_GRID_POINTS = 64
 DEFAULT_R_MIN = 1e-2
@@ -39,62 +38,21 @@ class DomainError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """The requested value needs extended precision beyond the configured limit."""
-
-
-class TowerOverflowError(OverflowError):
-    """An iterated exponential exceeded the configured tower depth."""
+    """The requested value does not fit in a double."""
 
 
 # ---------------------------------------------------------------------------
 # iterated exponentials
 
 
-def _descend(level: int, x: float) -> tuple[int, float]:
-    """Apply exp to x, one level at a time, while x stays <= _LEVEL_DOWN_CAP."""
+def _descend(level: int, x: float) -> float:
+    """exp applied `level` times to x, in floats; PrecisionError past a double."""
     while level > 0 and x <= _LEVEL_DOWN_CAP:
         x = math.exp(x)
         level -= 1
-    return level, x
-
-
-@dataclass(frozen=True)
-class ExtendedExp:
-    """A magnitude represented as ``exp`` applied `level` times to `mantissa`.
-
-    ``log`` is exact in this representation: it just decrements the level.
-    """
-
-    level: int
-    mantissa: float
-
-    def normalized(self) -> "ExtendedExp":
-        level, x = _descend(self.level, self.mantissa)
-        if level > MAX_TOWER_LEVEL:
-            raise TowerOverflowError(f"tower depth {level} exceeds {MAX_TOWER_LEVEL}")
-        return ExtendedExp(level, x)
-
-    def log(self) -> "ExtendedExp":
-        if self.level > 0:
-            return ExtendedExp(self.level - 1, self.mantissa).normalized()
-        if self.mantissa <= 0:
-            raise DomainError("log of a nonpositive value")
-        return ExtendedExp(0, math.log(self.mantissa))
-
-    def to_float(self) -> float:
-        n = self.normalized()
-        if n.level > 0:
-            raise PrecisionError(
-                f"value exp^{n.level}({n.mantissa!r}) does not fit in a double"
-            )
-        return n.mantissa
-
-
-def exp_k(k: int, r: float) -> ExtendedExp:
-    """k-fold iterated exponential of r, as an :class:`ExtendedExp` tower."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return ExtendedExp(k, float(r)).normalized()
+    if level:
+        raise PrecisionError(f"value exp^{level}({x!r}) does not fit in a double")
+    return x
 
 
 def log_k(k: int, r: float) -> float:
@@ -105,15 +63,6 @@ def log_k(k: int, r: float) -> float:
     for _ in range(k):
         x = math.log(max(math.e, x))
     return x
-
-
-def log_k_extended(k: int, value: ExtendedExp) -> float:
-    """log_k applied to an extended-precision magnitude."""
-    v = value.normalized()
-    used = min(k, v.level)
-    for _ in range(used):
-        v = v.log()
-    return log_k(k - used, v.to_float()) if k > used else max(1.0, v.to_float())
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +116,20 @@ def power_exp(beta: float, r_max: float = 1e30) -> WeightFunction:
 
 
 def bell_weight(k: int, r_max: float | None = None) -> WeightFunction:
-    """The Bell family u_k(r) = exp_k(r)/exp_k(0).
+    """The Bell family u_k(r) = exp^k(r)/exp^k(0).
 
-    ``log u_k(r) = exp_{k-1}(r) - exp_{k-1}(0)``, in floats up to 700 and as an
-    ExtendedExp above.  For k >= 3 a value past a double raises PrecisionError.
+    ``log u_k(r) = exp_{k-1}(r) - exp_{k-1}(0)`` in floats; a value past a
+    double raises PrecisionError (for k = 4 from r ~ 1.88 on, for k >= 5
+    already at exp_{k-1}(0)).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if r_max is None:
         r_max = {1: 1e30, 2: 700.0}.get(k, 6.0)
-    base = exp_k(k - 1, 0.0).to_float() if k > 1 else None
+    base = _descend(k - 1, 0.0)
 
     def f(r: float) -> float:
-        if k == 1:
-            return r
-        level, x = _descend(k - 1, float(r))
-        return x - base if level == 0 else ExtendedExp(level, x).to_float() - base
+        return _descend(k - 1, float(r)) - base
 
     return WeightFunction(
         name=f"bell(k={k})", _log_eval=f, r_max=r_max, params={"k": k},
@@ -233,6 +180,10 @@ def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_tabl
     logr = np.log([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
     r_lo, r_hi = pts[0][0], pts[-1][0]
+    try:
+        u_at_zero = math.exp(u0)
+    except OverflowError:
+        raise ValueError(f"table log u(0)={u0!r} puts u(0) past a double") from None
 
     def f(r: float) -> float:
         if r < r_lo:
@@ -241,23 +192,38 @@ def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_tabl
 
     return WeightFunction(
         name=name, _log_eval=f, r_max=r_hi,
-        params={"table_points": len(pts)}, u_at_zero=math.exp(u0),
+        params={"table_points": len(pts)}, u_at_zero=u_at_zero,
     )
+
+
+def _read(convert, value, key: str):
+    """convert(value) for config data, where a value of the wrong type is a ValueError."""
+    try:
+        return convert(value)
+    except TypeError:
+        raise ValueError(f"weight config {key}={value!r} has the wrong type") from None
 
 
 def from_config(cfg: dict) -> WeightFunction:
     """Build a catalog weight from {family, params, r_max} config data."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"weight config {cfg!r} is not an object")
     family = cfg.get("family")
-    params = dict(cfg.get("params", {}))
+    params = _read(dict, cfg.get("params", {}), "params")
     r_max = cfg.get("r_max")
+
+    def kw():  # read only by the families that take r_max, after their own params
+        return {"r_max": _read(float, r_max, "r_max")} if r_max else {}
+
     if family == "power_exp":
-        return power_exp(float(params["beta"]), r_max=float(r_max) if r_max else 1e30)
+        return power_exp(_read(float, params["beta"], "beta"), **kw())
     if family == "bell":
-        return bell_weight(int(params["k"]), r_max=float(r_max) if r_max else None)
+        return bell_weight(_read(int, params["k"], "k"), **kw())
     if family == "sqrt_log":
-        return sqrt_log_weight(int(params.get("k", 2)), r_max=float(r_max) if r_max else 1e30)
+        return sqrt_log_weight(_read(int, params.get("k", 2), "k"), **kw())
     if family == "custom_table":
-        return custom_table(params["points"], name=params.get("name", "custom_table"))
+        points = _read(lambda ps: [(float(r), float(v)) for r, v in ps], params["points"], "points")
+        return custom_table(points, name=params.get("name", "custom_table"))
     raise ValueError(f"unknown weight family {family!r}")
 
 

@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from wncalc.cli import run
 
 
@@ -70,7 +72,8 @@ class TestExitCodes:
     def test_tower_overflow_exits_one_with_one_line(self, capsys):
         assert run(["classify", "--family", "bell", "--order", "14"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: tower depth 9 exceeds 8\n"
+        assert captured.out == ""
+        assert captured.err == "error: value exp^9(3814279.104760214) does not fit in a double\n"
 
     def test_precision_error_exits_one_with_one_line(self, capsys):
         # log u_4 = exp_3(r) - exp_3(0) leaves double range inside the grid
@@ -103,6 +106,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: table abscissa r=1.0 appears twice\n"
+
+    def test_table_u0_past_a_double_exits_one_with_one_line(self, capsys, tmp_path):
+        cfg = tmp_path / "w.json"
+        cfg.write_text('{"family": "custom_table", "params": '
+                       '{"points": [[0, 800], [1, 900], [10, 1000]]}}')
+        assert run(["classify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table log u(0)=800.0 puts u(0) past a double\n"
+
+    @pytest.mark.parametrize("config", [
+        '{"family": "custom_table", "params": {"points": 5}}',
+        '{"family": "custom_table", "params": {"points": [[0, 0], [1, null]]}}',
+        '{"family": "power_exp", "params": {"beta": null}}',
+        '{"family": "bell", "params": {"k": [2]}}',
+        '{"family": "bell", "params": null}',
+        '{"family": "sqrt_log", "r_max": [1]}',
+        '[1, 2]',
+    ])
+    def test_malformed_config_exits_one_with_one_line(self, capsys, tmp_path, config):
+        cfg = tmp_path / "w.json"
+        cfg.write_text(config)
+        assert run(["classify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: weight config ")
+        assert captured.err.count("\n") == 1
 
     def test_sampler_validation_error_exits_one_with_one_line(self):
         # a subprocess, so that numpy warnings would reach the stderr we read;

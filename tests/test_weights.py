@@ -10,12 +10,10 @@ from wncalc.weights import (
     VIOLATED,
     DomainError,
     PrecisionError,
-    TowerOverflowError,
     bell_weight,
     check_log_x2_convex,
     classify,
     custom_table,
-    exp_k,
     from_callable,
     from_config,
     func_equivalent,
@@ -23,57 +21,29 @@ from wncalc.weights import (
 )
 
 
-class TestTower:
-    def test_exp_k_small_values(self):
-        assert exp_k(1, 0.0).to_float() == pytest.approx(1.0)
-        assert exp_k(1, 1.0).to_float() == pytest.approx(math.e)
-        assert exp_k(2, 0.0).to_float() == pytest.approx(math.e)
-        assert exp_k(2, 1.0).to_float() == pytest.approx(math.exp(math.e))
-
-    def test_log_k_inverts_exp_k_in_representable_range(self):
-        from wncalc.weights import log_k_extended
-
-        for k in (1, 2, 3):
-            for r in (1.0, 1.5, 2.0):
-                assert log_k_extended(k, exp_k(k, r)) == pytest.approx(r, abs=1e-9)
-
-    def test_deep_tower_overflows(self):
-        with pytest.raises(TowerOverflowError):
-            exp_k(40, 100.0)
-
-    def test_extended_exp_survives_double_overflow(self):
-        from wncalc.weights import log_k_extended
-
-        v = exp_k(3, 3.0)  # e^(e^(e^3)) far beyond float range
-        with pytest.raises(PrecisionError):
-            v.to_float()
-        # the tower representation still recovers the argument exactly
-        assert log_k_extended(3, v) == pytest.approx(3.0, abs=1e-9)
-
-
 class TestFloatTower:
-    """The Bell kernel iterates exp in floats; it must equal the tower bit for bit."""
+    """The Bell kernel iterates exp in floats; it must equal exp nested by hand bit for bit."""
 
     def test_bell_two_matches_the_tower_on_its_whole_range(self):
         u = bell_weight(2)
-        base = exp_k(1, 0.0).to_float()
         rng = np.random.default_rng(11)
         rs = [*np.linspace(0.0, 700.0, 10_001).tolist(), *rng.uniform(0.0, 700.0, 2_000).tolist(),
               700.0, 700.0 * (1.0 + 5e-10)]  # the last one is clamped to r_max
         for r in rs:
-            assert u.log_eval(r) == exp_k(1, min(r, u.r_max)).to_float() - base, r
+            assert u.log_eval(r) == math.exp(min(r, u.r_max)) - 1.0, r
 
     def test_bell_three_matches_the_tower_on_its_whole_range(self):
         u = bell_weight(3)
-        base = exp_k(2, 0.0).to_float()
         for r in np.linspace(0.0, 6.0, 10_001).tolist():
-            assert u.log_eval(r) == exp_k(2, r).to_float() - base, r
+            assert u.log_eval(r) == math.exp(math.exp(r)) - math.exp(math.exp(0.0)), r
 
     def test_values_past_a_double_still_raise(self):
         with pytest.raises(PrecisionError, match=r"^value exp\^1\("):
             bell_weight(3, r_max=7.0).log_eval(6.6)
         with pytest.raises(PrecisionError, match=r"^value exp\^1\("):
             bell_weight(4).log_eval(3.0)
+        with pytest.raises(PrecisionError, match=r"^value exp\^9\("):
+            bell_weight(14)  # exp_13(0) leaves double range at its base
 
 
 class TestCatalog:
