@@ -315,7 +315,7 @@ def _fit_K(vec: ChaosVector, w: WeightFunction, a: float, level: float,
     weights = model.eigenvalues ** (2.0 * level)
     norms2 = (np.abs(xis) ** 2) @ weights
     vals = np.abs(s_transform_many(vec, xis))
-    logw = np.array([w.log_eval(a * r) for r in norms2])
+    logw = w.log_eval(a * norms2)
     return float(np.max(vals * np.exp(-0.5 * logw)))
 
 

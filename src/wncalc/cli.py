@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Every verification in the library is reachable from one subcommand; all
-reports are JSON on stdout (``--out`` redirects to a file).  Exit code 0
-means every verdict in the report is consistent/converged, 2 flags a
-verdict failure, 1 a usage or config error or a computation the library
-refuses (an unbounded transform, a value past a double, a sampler that
-fails validation), reported as one ``error: ...`` line on stderr.
+Each subcommand runs one family of verifications (the README names the library
+checks that have none); all reports are JSON on stdout (``--out`` redirects to a
+file).  Exit code 0 means every verdict in the report is consistent/converged, 2
+flags a verdict failure, 1 a usage or config error or a computation the library
+refuses (an unbounded transform, a value past a double, a sampler that fails
+validation), reported as one ``error: ...`` line on stderr.
 
 Reports are byte-identical for the same resolved config and seed: keys
 are sorted, floats use repr, and wall time goes to stderr so it never

@@ -350,7 +350,7 @@ def integrability_check(
         x = sample(model, batch, rng)
         r = (x**2) @ w
         # overflow in a single sample is decisive evidence of divergence
-        vals = np.array([0.5 * u.log_eval(min(ri, u.r_max)) for ri in r])
+        vals = 0.5 * u.log_eval(np.minimum(r, u.r_max))
         with np.errstate(over="ignore"):
             f = np.exp(vals)
         return float(np.mean(np.minimum(f, 1e300)))

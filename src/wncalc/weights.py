@@ -23,6 +23,7 @@ CONSISTENT = "consistent"
 VIOLATED = "violated"
 
 _LEVEL_DOWN_CAP = 700.0  # exp(700) is representable; one more level is not
+_NDARRAY = np.ndarray  # a global, not an attribute lookup, on the scalar hot path
 
 DEFAULT_GRID_POINTS = 64
 DEFAULT_R_MIN = 1e-2
@@ -84,16 +85,18 @@ class WeightFunction:
     # of reports
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def log_eval(self, r: float) -> float:
-        if r < 0:
-            raise DomainError(f"{self.name}: r={r} is negative")
-        if r > self.r_max:
-            # tolerate exp(log r_max) round-trip noise at the boundary
-            if r > self.r_max * (1.0 + 1e-9):
+    def log_eval(self, r: float | np.ndarray) -> float | np.ndarray:
+        """log u(r); a 1-D array maps the scalar path over its elements as Python floats."""
+        if type(r) is _NDARRAY:  # not isinstance: ~240 000 scalar calls per u* build
+            return np.array([self.log_eval(x) for x in r.tolist()], dtype=float)
+        if not 0.0 < r <= self.r_max:  # the in-range case takes one test
+            if r < 0:
+                raise DomainError(f"{self.name}: r={r} is negative")
+            if r > self.r_max * (1.0 + 1e-9):  # exp(log r_max) round-trip noise is tolerated
                 raise DomainError(f"{self.name}: r={r} exceeds r_max={self.r_max}")
-            r = self.r_max
-        if r == 0:
-            return math.log(self.u_at_zero)
+            if r == 0:
+                return math.log(self.u_at_zero)
+            r = min(r, self.r_max)
         return self._log_eval(r)
 
     def __repr__(self):  # params carry the identity; the callable does not
@@ -180,6 +183,8 @@ def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_tabl
     logr = np.log([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
     r_lo, r_hi = pts[0][0], pts[-1][0]
+    if not math.isfinite(u0):
+        raise ValueError(f"table log u(0)={u0!r} is not finite")
     try:
         u_at_zero = math.exp(u0)
     except OverflowError:
@@ -204,6 +209,14 @@ def _read(convert, value, key: str):
         raise ValueError(f"weight config {key}={value!r} has the wrong type") from None
 
 
+def _order(value) -> int:
+    """An integer order k from config data: 2 and 2.0 read as 2, 2.7 is a ValueError."""
+    k = _read(int, value, "k")
+    if isinstance(value, float) and value != k:
+        raise ValueError(f"weight config k={value!r} is not an integer")
+    return k
+
+
 def from_config(cfg: dict) -> WeightFunction:
     """Build a catalog weight from {family, params, r_max} config data."""
     if not isinstance(cfg, dict):
@@ -218,9 +231,9 @@ def from_config(cfg: dict) -> WeightFunction:
     if family == "power_exp":
         return power_exp(_read(float, params["beta"], "beta"), **kw())
     if family == "bell":
-        return bell_weight(_read(int, params["k"], "k"), **kw())
+        return bell_weight(_order(params["k"]), **kw())
     if family == "sqrt_log":
-        return sqrt_log_weight(_read(int, params.get("k", 2), "k"), **kw())
+        return sqrt_log_weight(_order(params.get("k", 2)), **kw())
     if family == "custom_table":
         points = _read(lambda ps: [(float(r), float(v)) for r, v in ps], params["points"], "points")
         return custom_table(points, name=params.get("name", "custom_table"))
@@ -252,7 +265,7 @@ def check_log_x2_convex(u: WeightFunction, grid: Sequence[float] | None = None) 
         raise ValueError("grid needs at least 3 points")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing")
-    fs = np.array([u.log_eval(x * x) for x in xs])
+    fs = u.log_eval(xs * xs)
     with np.errstate(invalid="ignore"):
         defects = (fs[:-2] + (fs[2:] - fs[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
                    - fs[1:-1])
@@ -296,7 +309,7 @@ def classify(u: WeightFunction, r_max: float | None = None) -> ClassMembership:
     """
     r_max = min(r_max or u.r_max, u.r_max)
     grid = np.geomspace(3.0, r_max, DEFAULT_GRID_POINTS)
-    logu = np.array([u.log_eval(r) for r in grid])
+    logu = u.log_eval(grid)
     r_log = logu / np.log(grid)
     r_half = logu / np.sqrt(grid)
     r_lin = logu / grid
@@ -360,7 +373,7 @@ def func_equivalent(
         hi = min(v.r_max, u.r_max, DEFAULT_R_MAX)
         grid = default_grid(hi)
     rs = np.asarray(grid, dtype=float)
-    logv = np.array([v.log_eval(r) for r in rs])
+    logv = v.log_eval(rs)
 
     lattice = [2.0**e for e in range(-LATTICE_POW, LATTICE_POW + 1)]
     best_upper = None  # (sup_residual, a)
@@ -369,7 +382,7 @@ def func_equivalent(
         if a * rs[-1] > u.r_max:
             continue
         try:
-            rho = logv - np.array([u.log_eval(a * r) for r in rs])
+            rho = logv - u.log_eval(a * rs)
         except (DomainError, PrecisionError):
             continue
         tail, head = _tail_head(rho)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss, hermeval
 
 import mode_products_oracle as oracle
 from wncalc import chaos
@@ -170,15 +171,35 @@ class TestPointEval:
         phi = chaos_vector(model, {(1, 1, 0): 1.0})
         assert point_eval(phi, x)[0] == pytest.approx(2 * 0.4 * (-1.3), rel=1e-12)
 
-    def test_gaussian_orthogonality_of_wick_powers(self, model):
-        # E[He_n(Z) He_m(Z)] = n! delta_nm: Monte Carlo sanity at loose tol
-        rng = np.random.default_rng(6)
-        Z = rng.standard_normal((200_000, 3))
-        p2 = chaos_vector(model, {(2, 0, 0): 1.0})
-        p3 = chaos_vector(model, {(3, 0, 0): 1.0})
-        v2, v3 = point_eval(p2, Z), point_eval(p3, Z)
-        assert np.mean(v2 * v3) == pytest.approx(0.0, abs=0.05)
-        assert np.mean(v2 * v2) == pytest.approx(2.0, rel=0.05)
+    def test_wick_powers_are_orthogonal_under_gauss_hermite(self, model):
+        # N+1 Gauss-Hermite nodes integrate every polynomial of degree <= 2N+1
+        # against N(0, 1) exactly, so E[He_n(Z) He_m(Z)] = n! delta_nm for n, m <= N
+        nodes, w = hermegauss(model.N + 1)
+        w = w / math.sqrt(2.0 * math.pi)
+        X = np.zeros((len(nodes), model.d))
+        X[:, 0] = nodes
+        He = [point_eval(chaos_vector(model, {(n, 0, 0): 1.0}), X) for n in range(model.N + 1)]
+        gram = np.array([[np.sum(w * a * b) for b in He] for a in He])
+        want = np.diag([math.factorial(n) for n in range(model.N + 1)])
+        assert np.allclose(gram, want, rtol=1e-12, atol=1e-12 * math.factorial(model.N))
+        # two modes on the tensor grid: (1, 1, 0) is 2 Z0 Z1 (multiplicity 2), so
+        # E[v^2] = 4, and it is orthogonal to every other two-mode index of degree <= N
+        X = np.zeros((len(nodes) ** 2, model.d))
+        X[:, 0], X[:, 1] = np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
+        w2 = np.outer(w, w).ravel()
+        v = point_eval(chaos_vector(model, {(1, 1, 0): 1.0}), X)
+        assert np.sum(w2 * v * v) == pytest.approx(4.0, rel=1e-12)
+        for m in model.indices.tolist():
+            if m[2] == 0 and m != [1, 1, 0]:
+                other = point_eval(chaos_vector(model, {tuple(m): 1.0}), X)
+                assert abs(np.sum(w2 * v * other)) < 1e-12 * math.factorial(model.N), m
+
+    def test_hermite_table_matches_hermeval(self, model):
+        x = np.linspace(-6.0, 6.0, 97)
+        table = chaos._hermite_table(x, model.N)
+        for k in range(model.N + 1):
+            assert np.allclose(table[:, k], hermeval(x, np.eye(model.N + 1)[k]),
+                               rtol=1e-13, atol=1e-13), k
 
     def test_sample_of_the_wrong_width_is_rejected(self, model):
         phi = chaos_vector(model, {(1, 1, 0): 1.0})

@@ -107,14 +107,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: table abscissa r=1.0 appears twice\n"
 
-    def test_table_u0_past_a_double_exits_one_with_one_line(self, capsys, tmp_path):
+    @pytest.mark.parametrize("log_u0, message", [
+        ("800", "table log u(0)=800.0 puts u(0) past a double"),
+        ("Infinity", "table log u(0)=inf is not finite"),
+        ("-Infinity", "table log u(0)=-inf is not finite"),
+        ("NaN", "table log u(0)=nan is not finite"),
+    ], ids=["800", "Infinity", "-Infinity", "NaN"])
+    def test_table_u0_past_a_double_exits_one_with_one_line(self, capsys, tmp_path, log_u0,
+                                                            message):
         cfg = tmp_path / "w.json"
         cfg.write_text('{"family": "custom_table", "params": '
-                       '{"points": [[0, 800], [1, 900], [10, 1000]]}}')
+                       f'{{"points": [[0, {log_u0}], [1, 900], [10, 1000]]}}}}')
         assert run(["classify", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: table log u(0)=800.0 puts u(0) past a double\n"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("config", [
         '{"family": "custom_table", "params": {"points": 5}}',
@@ -123,6 +130,8 @@ class TestExitCodes:
         '{"family": "bell", "params": {"k": [2]}}',
         '{"family": "bell", "params": null}',
         '{"family": "sqrt_log", "r_max": [1]}',
+        '{"family": "bell", "params": {"k": 2.7}}',
+        '{"family": "sqrt_log", "params": {"k": 2.5}}',
         '[1, 2]',
     ])
     def test_malformed_config_exits_one_with_one_line(self, capsys, tmp_path, config):

@@ -24,6 +24,32 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+# loops over something other than evaluation points: func_equivalent makes one
+# array call per dyadic scale factor
+SCALE_LOOPS = {"lattice"}
+
+
+def looped_log_evals(source: str) -> list[int]:
+    """Lines where a loop or comprehension calls ``.log_eval``.
+
+    ``WeightFunction.log_eval`` itself is left out: its array branch is the
+    one place that maps the scalar path over elements.
+    """
+    tree = ast.parse(source)
+    own = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "WeightFunction":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "log_eval":
+                    own.update(map(id, ast.walk(fn)))
+    loops = [n for n in ast.walk(tree) if isinstance(n, LOOPS)
+             and not (isinstance(n, ast.For) and ast.unparse(n.iter) in SCALE_LOOPS)]
+    return sorted({node.lineno for loop in loops for node in ast.walk(loop)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "log_eval" and id(node) not in own})
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"chaos.py", "cli.py", "legendre.py", "weights.py"}
 
@@ -39,3 +65,26 @@ def test_unused_import_detected():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_looped_log_eval_detected():
+    source = """
+class WeightFunction:
+    def log_eval(self, r):
+        return [self.log_eval(x) for x in r]
+
+def grid(u, rs, lattice):
+    for r in rs:
+        u.log_eval(r)
+    for a in lattice:
+        u.log_eval(a * rs)
+        [u.log_eval(a * r) for r in rs]
+    return u.log_eval(rs), list(u.log_eval(r) for r in rs)
+"""
+    assert looped_log_evals(source) == [8, 11, 12]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_log_eval_loops(path):
+    # log_eval takes a 1-D array; a per-element loop outside it repeats its domain rule
+    assert looped_log_evals(path.read_text()) == []

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -54,6 +55,16 @@ class TestLegendreTransform:
         u = from_callable("linear", math.log, r_max=1e12)
         with pytest.raises(UnboundedError):
             legendre_transform(u, 2.0)
+
+    def test_bell_two_matches_lambert_w(self):
+        # log u = e^r - 1 is stationary against n log r where r e^r = n, so
+        # log ell(n) = e^W(n) - 1 - n log W(n) (Corless et al., Adv. Comput. Math. 5, 1996)
+        got = legendre.log_ell_sequence(bell_weight(2), 30)
+        with mp.workdps(40):
+            for n in range(1, 31):
+                w = mp.lambertw(n).real
+                want = float(mp.exp(w) - 1 - n * mp.log(w))
+                assert got[n] == pytest.approx(want, rel=1e-13, abs=0.0), n
 
     def test_infimum_certificate(self):
         rng = np.random.default_rng(1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wncalc.legendre import dual_weight
 from wncalc.weights import (
     CONSISTENT,
     VIOLATED,
@@ -18,7 +19,83 @@ from wncalc.weights import (
     from_config,
     func_equivalent,
     power_exp,
+    sqrt_log_weight,
 )
+
+
+def _kinked(r):
+    if r < 4.0:  # a Python branch: the kernel cannot take an array
+        return r
+    return 4.0 + math.log(r / 4.0)
+
+
+def _radii(u, rng):
+    """0, a log-spaced spread from 1e-8 (below a table's first abscissa) and a
+    uniform one up to r_max, and a point past r_max within the 1e-9 allowance."""
+    r_max = u.r_max
+    return np.array([0.0, *np.geomspace(1e-8, r_max, 200), *rng.uniform(0.0, r_max, 200),
+                     r_max, r_max * (1.0 + 5e-10)])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestArrayContract:
+    """A 1-D array argument gives, element for element, the bits of the scalar
+    call on that element as a Python float, and the first bad element raises."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: power_exp(0.7),
+        lambda: power_exp(0.0, r_max=100.0),
+        lambda: bell_weight(1),
+        lambda: bell_weight(2),
+        lambda: bell_weight(3),
+        lambda: sqrt_log_weight(2),
+        lambda: sqrt_log_weight(3),
+        lambda: custom_table([(0, 0.3), (0.5, 1.0), (2.0, 1.5), (10.0, 4.0)]),
+        lambda: from_callable("kinked", _kinked, r_max=50.0),
+        lambda: dual_weight(power_exp(0.3), per_decade=16),
+    ], ids=["power_exp(0.7)", "power_exp(0)", "bell(1)", "bell(2)", "bell(3)",
+            "sqrt_log(2)", "sqrt_log(3)", "custom_table", "kinked", "u*"])
+    def test_array_equals_the_scalar_calls_bit_for_bit(self, make):
+        u = make()
+        rs = _radii(u, np.random.default_rng(5))
+        got = u.log_eval(rs)
+        assert got.dtype == np.float64 and got.shape == rs.shape
+        assert np.array_equal(_bits(got), _bits([u.log_eval(r) for r in rs.tolist()]))
+
+    @pytest.mark.parametrize("u, rs, bad, error", [
+        (power_exp(0.0, r_max=100.0), [1.0, -2.0, 200.0, -3.0], -2.0, DomainError),
+        (power_exp(0.0, r_max=100.0), [1.0, 100.5, -1.0], 100.5, DomainError),
+        (bell_weight(3, r_max=7.0), [1.0, 6.6, -1.0, 6.9], 6.6, PrecisionError),
+        (from_callable("pole", lambda r: 1.0 / (r - 2.0)), [1.0, 2.0, 3.0], 2.0,
+         ZeroDivisionError),
+    ], ids=["negative", "past r_max", "past a double", "kernel error"])
+    def test_first_bad_element_raises_the_scalar_message(self, u, rs, bad, error):
+        with pytest.raises(error) as want:
+            u.log_eval(bad)
+        with pytest.raises(error) as got:
+            u.log_eval(np.array(rs))
+        assert str(got.value) == str(want.value)
+
+    def test_kernel_sees_only_python_floats_in_range(self):
+        seen = []
+
+        def kernel(r):
+            seen.append(r)
+            return r
+
+        u = from_callable("recording", kernel, r_max=10.0)
+        got = u.log_eval(np.array([0.0, 0.5, 3.0, 10.0, 10.0 * (1.0 + 1e-10)]))
+        # u(0) comes from u_at_zero, and r_max noise is clamped to r_max exactly
+        assert seen == [0.5, 3.0, 10.0, 10.0] and got.tolist() == [0.0, 0.5, 3.0, 10.0, 10.0]
+        u.log_eval(np.geomspace(1.0, 10.0, 5, dtype=np.float32))
+        assert {type(r) for r in seen} == {float}
+
+    def test_empty_array_gives_an_empty_array(self):
+        got = power_exp(0.5).log_eval(np.array([]))
+        assert got.dtype == np.float64 and got.shape == (0,)
 
 
 class TestFloatTower:
