@@ -40,6 +40,11 @@ class PremiseError(ValueError):
     """A theorem's contraction premise (a e^2 ||i||_HS^2 < 1) fails."""
 
 
+def oscillator_eigenvalues(d: int) -> np.ndarray:
+    """The first d eigenvalues 2j+2 of the harmonic oscillator operator."""
+    return 2.0 * np.arange(d) + 2.0
+
+
 def hs_norm_inclusion(q: float, p: float, d: int | None = None) -> float:
     """Squared Hilbert-Schmidt norm of the inclusion: sum_j (2j+2)^-(q-p).
 
@@ -50,15 +55,12 @@ def hs_norm_inclusion(q: float, p: float, d: int | None = None) -> float:
     if s <= 0:
         raise ValueError("need q > p")
     if d is not None:
-        j = np.arange(d)
-        return float(np.sum((2.0 * j + 2.0) ** (-s)))
+        return float(np.sum(oscillator_eigenvalues(d) ** (-s)))
     if s <= 1.0:
         raise ArithmeticError("series diverges for q - p <= 1 in infinite dimension")
-    j = np.arange(HS_PARTIAL_TERMS)
-    head = float(np.sum((2.0 * j + 2.0) ** (-s)))
-    # tail: 2^-s * sum_{k > K} k^-s with midpoint integral correction
-    K = float(HS_PARTIAL_TERMS)
-    tail = 2.0 ** (-s) * (K + 0.5) ** (1.0 - s) / (s - 1.0)
+    head = float(np.sum(oscillator_eigenvalues(HS_PARTIAL_TERMS) ** (-s)))
+    # tail: 2^-s * sum_{k > K} k^-s, K = HS_PARTIAL_TERMS, with midpoint integral correction
+    tail = 2.0 ** (-s) * (HS_PARTIAL_TERMS + 0.5) ** (1.0 - s) / (s - 1.0)
     return head + tail
 
 
@@ -93,7 +95,7 @@ class FiniteGaussianModel:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return 2.0 * np.arange(self.d) + 2.0
+        return oscillator_eigenvalues(self.d)
 
     @property
     def n_coeffs(self) -> int:

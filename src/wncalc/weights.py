@@ -88,6 +88,8 @@ class WeightFunction:
     def log_eval(self, r: float | np.ndarray) -> float | np.ndarray:
         """log u(r); a 1-D array maps the scalar path over its elements as Python floats."""
         if type(r) is _NDARRAY:  # not isinstance: ~240 000 scalar calls per u* build
+            if r.ndim != 1:
+                raise ValueError(f"{self.name}: log_eval takes a 1-D array, got {r.ndim}-D")
             return np.array([self.log_eval(x) for x in r.tolist()], dtype=float)
         if not 0.0 < r <= self.r_max:  # the in-range case takes one test
             if r < 0:

@@ -115,6 +115,24 @@ class TestNorms:
             chaos.test_norm(phi.as_distribution(), power_exp(0.0), 1.0)
 
 
+class TestDistNorm:
+    """dist_norm against ell_{u*}(n) = (e/n)^n, since u*(r) = e^r for u = power_exp(0)."""
+
+    @pytest.mark.parametrize("m", [(1, 0, 0), (0, 2, 1), (3, 0, 2), (0, 0, 6)])
+    def test_one_entry_vector_matches_the_closed_form(self, model, m):
+        c, p, n = 0.7 - 1.3j, 1.5, sum(m)
+        Phi = chaos_vector(model, {m: c}, role=chaos.ROLE_DISTRIBUTION)
+        mult = math.factorial(n) / math.prod(math.factorial(k) for k in m)
+        modes = math.prod((2.0 * j + 2.0) ** (-2.0 * p * k) for j, k in enumerate(m))
+        want = mult * modes * abs(c) ** 2 / (math.e / n) ** n
+        assert chaos.dist_norm(Phi, power_exp(0.0), p) ** 2 == pytest.approx(want, rel=1e-6)
+
+    def test_test_role_vector_is_rejected(self, model):
+        phi = chaos_vector(model, {(1, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="distribution-role"):
+            chaos.dist_norm(phi, power_exp(0.0), 1.0)
+
+
 class TestTransforms:
     def test_s_transform_is_pairing_with_coherent_state(self, model):
         rng = np.random.default_rng(3)

@@ -88,3 +88,52 @@ def grid(u, rs, lattice):
 def test_no_log_eval_loops(path):
     # log_eval takes a 1-D array; a per-element loop outside it repeats its domain rule
     assert looped_log_evals(path.read_text()) == []
+
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
+PACKAGE = sorted((ROOT / "src" / "wncalc").glob("*.py"))
+
+
+def memo_decorators(source: str) -> list[int]:
+    """Lines of ``functools.lru_cache`` or ``functools.cache`` decorators.
+
+    Such a cache lives as long as the module and is shared by every caller;
+    memoized values belong to the object that owns them.
+    """
+    tree = ast.parse(source)
+    return sorted(
+        dec.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for dec in node.decorator_list
+        if ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
+        .removeprefix("functools.") in MEMO_DECORATORS
+    )
+
+
+def test_module_memo_detected():
+    source = """
+import functools
+from functools import lru_cache
+
+
+@lru_cache(maxsize=65536)
+def mittag_leffler(lam: float, t: float) -> float:
+    return 1.0
+
+
+class Table:
+    @functools.cache
+    def rows(self):
+        return []
+
+    @property
+    def size(self):
+        return 0
+"""
+    assert memo_decorators(source) == [6, 12]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_no_module_memos(path):
+    assert memo_decorators(path.read_text()) == []

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
-from wncalc import measures
+from wncalc import cli, measures
 from wncalc.measures import (
     MeasureModel,
     SamplerValidationError,
@@ -89,6 +90,53 @@ class TestCharacteristicFunctionals:
         pts = np.array([[0.0, 0.1], [bad, 0.2], [0.3, 0.4]])
         with pytest.raises(ValueError, match="^points must be finite$"):
             check_positive_definite(model.char_fn, pts)
+
+
+class TestGreyMemo:
+    """A grey model keeps L_lam(t) by t, and no two models share a value."""
+
+    @staticmethod
+    def count_calls(monkeypatch) -> list:
+        calls = []
+        true_ml = measures.mittag_leffler
+
+        def counting(lam, t):
+            calls.append((lam, t))
+            return true_ml(lam, t)
+
+        monkeypatch.setattr(measures, "mittag_leffler", counting)
+        return calls
+
+    def test_gram_check_sums_each_distinct_t_once(self, monkeypatch):
+        pts = np.random.default_rng(0).standard_normal((8, 6)) / math.sqrt(6)
+        want = check_positive_definite(lambda xi: grey_char(0.5, xi), pts)
+        calls = self.count_calls(monkeypatch)
+        got = check_positive_definite(MeasureModel(kind="grey", d=6, lam=0.5).char_fn, pts)
+        # t = 0 on the diagonal and one t per pair j < k, against 64 Gram entries
+        assert len(calls) == len(set(calls)) == 1 + 8 * 7 // 2
+        assert got == want
+
+    def test_models_with_the_same_lambda_share_no_values(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        a, b = (MeasureModel(kind="grey", d=2, lam=0.5) for _ in range(2))
+        xi = np.array([0.3, -0.4])
+        assert a.char_fn(xi) == a.char_fn(-xi) == b.char_fn(xi)
+        assert len(calls) == 2
+        assert a._memo == b._memo and a._memo is not b._memo
+
+    def test_memo_stays_out_of_reports_and_digest(self, capsys):
+        m = MeasureModel(kind="grey", d=2, lam=0.5)
+        fields = cli._jsonable(m)
+        m.char_fn(np.array([0.3, -0.4]))
+        assert m._memo and cli._jsonable(m) == fields
+        # the sampler gate fills the memo of the model that the report describes
+        cli.run(["integrability", "--model", "grey", "--lambda", "0.5", "--dim", "2",
+                 "--samples", "8000", "--seed", "0"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["measure"] == fields
+        weight_cfg = {"family": "power_exp", "params": {"beta": 0.0}, "r_max": None}
+        config = {"measure": fields, "weight_cfg": weight_cfg}
+        assert report["config_digest"] == cli._digest({"config": config, "seed": 0})
 
 
 class TestSamplers:

@@ -97,6 +97,13 @@ class TestArrayContract:
         got = power_exp(0.5).log_eval(np.array([]))
         assert got.dtype == np.float64 and got.shape == (0,)
 
+    @pytest.mark.parametrize("r", [np.array(2.0), np.ones((2, 3))], ids=["0-D", "2-D"])
+    def test_array_of_another_rank_is_rejected_in_one_line(self, r):
+        # one line naming the contract, not a TypeError from inside the element loop
+        want = rf"^power_exp\(beta=0.5\): log_eval takes a 1-D array, got {r.ndim}-D$"
+        with pytest.raises(ValueError, match=want):
+            power_exp(0.5).log_eval(r)
+
 
 class TestFloatTower:
     """The Bell kernel iterates exp in floats; it must equal exp nested by hand bit for bit."""
