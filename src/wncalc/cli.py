@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chaos, legendre, measures, sequences, weights
-from .weights import CONSISTENT
+from .weights import CONSISTENT, VIOLATED
 
 _GOOD_VERDICTS = {CONSISTENT, measures.VERDICT_CONVERGED}
 _VERDICT_KEYS = {
@@ -241,7 +241,7 @@ def _cmd_verify_all(args, seed):
     bell = sequences.bell_numbers(2, 10)
     triangle = _bell_triangle(10)
     results["bell_exact"] = {
-        "verdict": CONSISTENT if bell.exact_values == triangle else "violated",
+        "verdict": CONSISTENT if bell.exact_values == triangle else VIOLATED,
         "values": [str(v) for v in bell.exact_values],
     }
 

@@ -6,11 +6,10 @@ space, at one argument or at each element of a 1-D array.  Both are one
 conjugate problem in ``y = log r``, which ``_conjugate`` solves for all
 arguments in one ``optimize.minimize_scalar`` batch: a coarse scan and
 golden-section refinement of several brackets, since (log, x^2)-convexity
-of u does not guarantee convexity of the objective in y.  The scan rows come
-from one table per weight, kept in ``u._memo``, of ``exp(y_i/2)`` and
-``log u(e^{y_i})`` on the 65 points y_i of ``optimize.scan_grid``, so only
-the refinement calls ``log u``; the values are the ones the objective itself
-would return, bit for bit.
+of u does not guarantee convexity of the objective in y.  Each batch
+evaluates ``log u`` once on the 65 points of ``optimize.scan_grid``, and
+builds every argument's scan row from those values, bit for bit what its
+objective would return there.
 
 ``dual_weight`` builds u* when it is called: one ``dual_function`` batch on
 a geometric grid, clipped to be nondecreasing and interpolated by PCHIP in
@@ -47,6 +46,7 @@ from .weights import (
     PrecisionError,
     WeightFunction,
     from_callable,
+    tail_size,
 )
 
 _Y_LO = math.log(1e-24)
@@ -75,19 +75,6 @@ def _safe_log_eval(u: WeightFunction, r: float) -> float:
         return math.inf
 
 
-def _scan_table(u: WeightFunction) -> tuple[list[float], list[float], list[float]]:
-    """The coarse scan shared by every solve on u, kept on u: y_i, exp(y_i/2), log u(e^{y_i})."""
-    table = u._memo.get("scan")
-    if table is None:
-        ys = optimize.scan_grid(_Y_LO, math.log(u.r_max))
-        table = u._memo["scan"] = (
-            ys,
-            [math.exp(0.5 * y) for y in ys],
-            [_safe_log_eval(u, math.exp(y)) for y in ys],
-        )
-    return table
-
-
 def _conjugate(u: WeightFunction, args, dual: bool):
     """Minimize log u(e^y) - t y over y for each t, or, with ``dual``, minus the max
     of 2 sqrt(r) e^{y/2} - log u(e^y) for each r, in one batch.  The first failing
@@ -96,9 +83,11 @@ def _conjugate(u: WeightFunction, args, dual: bool):
     if any(a < 0 for a in ps):
         raise ValueError(f"{'r' if dual else 't'} must be >= 0")
     y_hi = math.log(u.r_max)
-    ys, halves, logs = _scan_table(u)
+    ys = optimize.scan_grid(_Y_LO, y_hi)
+    logs = [_safe_log_eval(u, math.exp(y)) for y in ys]
     if dual:
         coef = (2.0 * np.sqrt(ps)).tolist()
+        halves = [math.exp(0.5 * y) for y in ys]
         rows = ([-(c * e - l) for e, l in zip(halves, logs)] for c in coef)
 
         def objective(k, y):
@@ -342,7 +331,7 @@ def seq_equivalent(log_a: Sequence[float], log_b: Sequence[float]) -> Equivalenc
     n = np.arange(len(la), dtype=float)
     rho = lb - la
 
-    k = max(3, len(rho) // 3)
+    k = tail_size(len(rho))
     slope_tail = np.polyfit(n[-k:], rho[-k:], 1)[0]
     slope_head = np.polyfit(n[:k], rho[:k], 1)[0]
     drift = abs(slope_tail - slope_head)

@@ -72,13 +72,12 @@ def minimize_scalar(f, lo: float, hi: float, scan_values) -> BatchMinResult:
     """Global-ish minimum on [lo, hi] of every objective of a batch.
 
     Row k of ``scan_values`` (any iterable of rows) is objective k on
-    ``scan_grid(lo, hi)``, computed by the caller (for instance from a
-    per-weight table); ``f(k, y)`` is objective k at y, called only by the
-    refinement.  Each row refines the ``MULTI_START`` best local minima of
-    its scan, in stable order of value, and keeps the first strict minimum of
-    the refined values.  The status flags a minimum on a boundary of the
-    interval, which callers read as evidence of an unbounded objective, or a
-    row without any finite value.
+    ``scan_grid(lo, hi)``, computed by the caller; ``f(k, y)`` is objective
+    k at y, called only by the refinement.  Each row refines the
+    ``MULTI_START`` best local minima of its scan, in stable order of value,
+    and keeps the first strict minimum of the refined values.  The status
+    flags a minimum on a boundary of the interval, which callers read as
+    evidence of an unbounded objective, or a row without any finite value.
     """
     xs = scan_grid(lo, hi)
     edge = 2.0 * ((hi - lo) / (COARSE - 1))  # two scan steps

@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 
 from .legendre import log_ell_sequence, log_factorial, seq_equivalent, EquivalenceReport
-from .weights import CONSISTENT, VIOLATED, WeightFunction
+from .weights import CONSISTENT, VIOLATED, WeightFunction, tail_size
 
 MAX_BELL_N = 512
 
@@ -121,7 +121,7 @@ def check_A1(alpha: WeightSequence) -> A1Report:
     """
     la = np.asarray(alpha.log_values)
     n = np.arange(len(la))
-    k = max(3, len(la) // 3)
+    k = tail_size(len(la))
     per_sigma = {}
     best = None
     for sigma in SIGMA_GRID:
@@ -153,7 +153,7 @@ def check_A2(alpha: WeightSequence) -> A2Report:
         raise ValueError("need n_max >= 20")
     la = alpha.log_values
     s = [(la[n] - log_factorial(n)) / n for n in range(1, len(la))]
-    k = max(3, len(s) // 3)
+    k = tail_size(len(s))
     tail = s[-k:]
     decreasing = all(b - a < _TAIL_TOL for a, b in zip(tail, tail[1:]))
     verdict = CONSISTENT if (decreasing and s[-1] < A2_THRESHOLD) else VIOLATED

@@ -204,10 +204,10 @@ def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_tabl
 
 
 def _read(convert, value, key: str):
-    """convert(value) for config data, where a value of the wrong type is a ValueError."""
+    """convert(value) for config data, where a value it cannot convert is a ValueError."""
     try:
         return convert(value)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"weight config {key}={value!r} has the wrong type") from None
 
 
@@ -228,7 +228,9 @@ def from_config(cfg: dict) -> WeightFunction:
     r_max = cfg.get("r_max")
 
     def kw():  # read only by the families that take r_max, after their own params
-        return {"r_max": _read(float, r_max, "r_max")} if r_max else {}
+        if r_max is not None and not 0.0 < _read(float, r_max, "r_max") < math.inf:
+            raise ValueError(f"weight config r_max={r_max!r} is not a finite number > 0")
+        return {} if r_max is None else {"r_max": float(r_max)}
 
     if family == "power_exp":
         return power_exp(_read(float, params["beta"], "beta"), **kw())
@@ -291,14 +293,19 @@ class ClassMembership:
     ratios: dict = field(default_factory=dict, compare=False)
 
 
+def tail_size(n: int) -> int:
+    """Length of the finite-range tail window of n values: the last third, at least 3."""
+    return max(3, n // 3)
+
+
 def _diverging(ratio: np.ndarray) -> bool:
-    tail = ratio[-max(3, len(ratio) // 3):]
+    tail = ratio[-tail_size(len(ratio)):]
     return bool(np.all(np.diff(tail) > -RATIO_TOL) and np.any(np.diff(tail) > RATIO_TOL)
                 and ratio[-1] > DIVERGENCE_THRESHOLD)
 
 
 def _bounded(ratio: np.ndarray) -> bool:
-    tail = ratio[-max(3, len(ratio) // 3):]
+    tail = ratio[-tail_size(len(ratio)):]
     return bool(np.all(np.diff(tail) <= RATIO_TOL * (1.0 + np.abs(tail[:-1]))))
 
 
@@ -355,11 +362,6 @@ class FunctionEquivalenceReport:
 _TAIL_SLACK = 0.1
 
 
-def _tail_head(values: np.ndarray):
-    k = max(3, len(values) // 3)
-    return values[-k:], values[:-k]
-
-
 def func_equivalent(
     u: WeightFunction,
     v: WeightFunction,
@@ -387,7 +389,8 @@ def func_equivalent(
             rho = logv - u.log_eval(a * rs)
         except (DomainError, PrecisionError):
             continue
-        tail, head = _tail_head(rho)
+        k = tail_size(len(rho))
+        tail, head = rho[-k:], rho[:-k]
         if np.max(tail) <= np.max(head) + _TAIL_SLACK:
             sup = float(np.max(rho))
             if best_upper is None or sup < best_upper[0]:

@@ -2,10 +2,14 @@
 
 ``golden_section`` and ``minimize_scalar`` are the one-objective-at-a-time
 optimizer that ``wncalc.optimize`` had before its batch minimizer, kept
-verbatim (a ``scan_values`` row is optional here).  ``legendre_transform``
-and ``dual_function`` are the scalar transforms that called it, one solve
-per argument; a loop over them is the element-by-element path whose
-results, evaluation counts and first error a batch has to reproduce.
+verbatim (a ``scan_values`` row is optional here, and the scan grid is
+written out rather than taken from ``optimize.scan_grid``).
+``legendre_transform`` and ``dual_function`` are the scalar transforms that
+called it, one solve per argument, each scanning its own objective; a loop
+over them is the element-by-element path whose results and first error a
+batch has to reproduce, and whose evaluation counts, less the ``COARSE``
+scan evaluations of each solve, its refinement has to reproduce.  Nothing
+here reads a scan that ``wncalc.legendre`` computed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from wncalc.optimize import (
     STATUS_OK,
     STATUS_UPPER_BOUNDARY,
     TOL,
-    scan_grid,
 )
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -60,8 +63,8 @@ def golden_section(f, a: float, b: float):
 
 def minimize_scalar(f, lo: float, hi: float, scan_values=None) -> ScalarMinResult:
     """Global-ish minimum of f on [lo, hi]: scan, up to MULTI_START brackets, golden sections."""
-    xs = scan_grid(lo, hi)
     step = (hi - lo) / (COARSE - 1)
+    xs = [lo + i * step for i in range(COARSE)]
     if scan_values is None:
         vals = [f(x) for x in xs]
         evals = COARSE
@@ -107,22 +110,16 @@ def minimize_scalar(f, lo: float, hi: float, scan_values=None) -> ScalarMinResul
     return ScalarMinResult(x=best_x, value=best_v, status=status, evaluations=evals)
 
 
-def _table(u):
-    return [list(column) for column in legendre._scan_table(u)]
-
-
 def legendre_transform(u, t: float):
     """(TransformResult, evaluations) of one scalar Legendre solve."""
     if t < 0:
         raise ValueError("t must be >= 0")
     y_hi = math.log(u.r_max)
-    ys, _, logs = _table(u)
 
     def g(y: float) -> float:
         return legendre._safe_log_eval(u, math.exp(y)) - t * y
 
-    scan = [l - t * y for y, l in zip(ys, logs)]
-    res = minimize_scalar(g, legendre._Y_LO, y_hi, scan_values=scan)
+    res = minimize_scalar(g, legendre._Y_LO, y_hi)
     if res.status == STATUS_UPPER_BOUNDARY and t > 0:
         raise legendre.UnboundedError(
             f"inf of {u.name}(r)/r^{t} still decreasing at r_max={u.r_max}"
@@ -137,13 +134,11 @@ def dual_function(u, r: float):
         raise ValueError("r must be >= 0")
     y_hi = math.log(u.r_max)
     sqrt_r = math.sqrt(r)
-    _, halves, logs = _table(u)
 
     def h(y: float) -> float:
         return -(2.0 * sqrt_r * math.exp(0.5 * y) - legendre._safe_log_eval(u, math.exp(y)))
 
-    scan = [-(2.0 * sqrt_r * e - l) for e, l in zip(halves, logs)]
-    res = minimize_scalar(h, legendre._Y_LO, y_hi, scan_values=scan)
+    res = minimize_scalar(h, legendre._Y_LO, y_hi)
     if res.status == STATUS_UPPER_BOUNDARY and r > 0:
         raise legendre.UnboundedError(
             f"sup of exp(2 sqrt({r} s))/{u.name}(s) still increasing at r_max={u.r_max}:"

@@ -132,6 +132,11 @@ class TestExitCodes:
         '{"family": "sqrt_log", "r_max": [1]}',
         '{"family": "bell", "params": {"k": 2.7}}',
         '{"family": "sqrt_log", "params": {"k": 2.5}}',
+        '{"family": "power_exp", "params": {"beta": 0.5}, "r_max": 0}',
+        '{"family": "power_exp", "params": {"beta": 0.5}, "r_max": Infinity}',
+        '{"family": "power_exp", "params": {"beta": 0.5}, "r_max": NaN}',
+        '{"family": "power_exp", "params": {"beta": 0.5}, "r_max": -1}',
+        '{"family": "power_exp", "params": {"beta": 0.5}, "r_max": "abc"}',
         '[1, 2]',
     ])
     def test_malformed_config_exits_one_with_one_line(self, capsys, tmp_path, config):

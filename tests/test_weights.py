@@ -18,6 +18,7 @@ from wncalc.weights import (
     from_callable,
     from_config,
     func_equivalent,
+    log_k,
     power_exp,
     sqrt_log_weight,
 )
@@ -128,6 +129,27 @@ class TestFloatTower:
             bell_weight(4).log_eval(3.0)
         with pytest.raises(PrecisionError, match=r"^value exp\^9\("):
             bell_weight(14)  # exp_13(0) leaves double range at its base
+
+
+class TestLogK:
+    """The clamped iterated logarithm against its closed forms."""
+
+    def test_one_fold_is_the_clamped_log(self):
+        for r in (0.0, 0.5, 1.0, 2.0, math.e, 2.72, 10.0, 1e300):
+            assert log_k(1, r) == (1.0 if r <= math.e else math.log(r)), r
+
+    def test_two_fold_inverts_the_double_exponential(self):
+        assert log_k(2, math.exp(math.exp(2.0))) == pytest.approx(2.0, rel=1e-15)
+        assert log_k(2, 1e-3) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 6), r=st.floats(0.0, 1e300))
+    def test_never_below_one(self, k, r):
+        assert log_k(k, r) >= 1.0
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            log_k(0, 5.0)
 
 
 class TestCatalog:
