@@ -6,10 +6,12 @@ space, at one argument or at each element of a 1-D array.  Both are one
 conjugate problem in ``y = log r``, which ``_conjugate`` solves for all
 arguments in one ``optimize.minimize_scalar`` batch: a coarse scan and
 golden-section refinement of several brackets, since (log, x^2)-convexity
-of u does not guarantee convexity of the objective in y.  Each batch
-evaluates ``log u`` once on the 65 points of ``optimize.scan_grid``, and
-builds every argument's scan row from those values, bit for bit what its
-objective would return there.
+of u does not guarantee convexity of the objective in y.  A batch evaluates
+``log u`` once on the 65 points of ``optimize.scan_grid`` and builds the
+scan rows from those values, a few hundred rows at a time; each lockstep
+step of the refinement is then one array call of ``log u``.  The arithmetic
+is the scalar expressions' in numpy and exp is ``math.exp``, so every value
+is bit for bit what one solve per argument gives.
 
 ``dual_weight`` builds u* when it is called: one ``dual_function`` batch on
 a geometric grid, clipped to be nondecreasing and interpolated by PCHIP in
@@ -53,6 +55,7 @@ _Y_LO = math.log(1e-24)
 DUAL_R_LO = 1e-8  # lower end of the materialized u* grid
 AUDIT_POINTS = 128
 AUDIT_TOL = 1e-9
+_BLOCK = 128  # scan rows built at a time: all 4 097 at once add ~8 MB of peak RSS
 
 
 class UnboundedError(ArithmeticError):
@@ -66,40 +69,48 @@ class TransformResult:
     status: str
 
 
-def _safe_log_eval(u: WeightFunction, r: float) -> float:
-    # treat overflow of log u as +inf: harmless for the infimum, and it
-    # steers the dual's maximization away from the overflow region
+def _safe_log_eval(u: WeightFunction, r):
+    """log u(r) at a float or a 1-D array, with an overflow of log u read as +inf:
+    harmless for the infimum, and it steers the dual's maximization away from it."""
     try:
         return u.log_eval(r)
     except (OverflowError, PrecisionError):
+        if type(r) is np.ndarray:  # inf only where the scalar call overflows
+            return np.fromiter((_safe_log_eval(u, x) for x in r.tolist()), float, len(r))
         return math.inf
+
+
+def _exp(y: np.ndarray) -> np.ndarray:
+    """e^y per element through libm's exp, the bits of math.exp (np.exp differs)."""
+    return np.fromiter(map(math.exp, y.tolist()), float, len(y))
 
 
 def _conjugate(u: WeightFunction, args, dual: bool):
     """Minimize log u(e^y) - t y over y for each t, or, with ``dual``, minus the max
     of 2 sqrt(r) e^{y/2} - log u(e^y) for each r, in one batch.  The first failing
     argument raises, as a loop would; a scalar gives one TransformResult."""
-    ps = np.array(args, dtype=float, ndmin=1).tolist()
-    if any(a < 0 for a in ps):
+    ps = np.array(args, dtype=float, ndmin=1)
+    if (ps < 0).any():
         raise ValueError(f"{'r' if dual else 't'} must be >= 0")
     y_hi = math.log(u.r_max)
-    ys = optimize.scan_grid(_Y_LO, y_hi)
-    logs = [_safe_log_eval(u, math.exp(y)) for y in ys]
+    ys = np.array(optimize.scan_grid(_Y_LO, y_hi))
+    logs = _safe_log_eval(u, _exp(ys))
     if dual:
-        coef = (2.0 * np.sqrt(ps)).tolist()
-        halves = [math.exp(0.5 * y) for y in ys]
-        rows = ([-(c * e - l) for e, l in zip(halves, logs)] for c in coef)
+        coef = 2.0 * np.sqrt(ps)
+        halves = _exp(0.5 * ys)
+        blocks = (-(coef[k:k + _BLOCK, None] * halves - logs) for k in range(0, len(ps), _BLOCK))
 
-        def objective(k, y):
-            return -(coef[k] * math.exp(0.5 * y) - _safe_log_eval(u, math.exp(y)))
+        def objective(ks, y):
+            return -(coef[ks] * _exp(0.5 * y) - _safe_log_eval(u, _exp(y)))
     else:
-        rows = ([l - t * y for y, l in zip(ys, logs)] for t in ps)
+        blocks = (logs - ps[k:k + _BLOCK, None] * ys for k in range(0, len(ps), _BLOCK))
 
-        def objective(k, y):
-            return _safe_log_eval(u, math.exp(y)) - ps[k] * y
-    res = optimize.minimize_scalar(objective, _Y_LO, y_hi, rows)
+        def objective(ks, y):
+            return _safe_log_eval(u, _exp(y)) - ps[ks] * y
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as in Python floats
+        res = optimize.minimize_scalar(objective, _Y_LO, y_hi, blocks)
     out = [None] * len(ps)  # sized once: lists grown in step fragment the heap
-    for k, (a, x, v, st) in enumerate(zip(ps, res.x, res.value, res.status)):
+    for k, (a, x, v, st) in enumerate(zip(ps.tolist(), res.x, res.value, res.status)):
         if st == optimize.STATUS_NO_FINITE:
             raise ValueError(f"no finite objective value found on [{_Y_LO}, {y_hi}]")
         if st == optimize.STATUS_UPPER_BOUNDARY and a > 0:
@@ -266,22 +277,20 @@ def legendre_table(u: WeightFunction, t_grid: Sequence[float]) -> LegendreTable:
 
 
 def _audit(u: WeightFunction, rng, holds) -> bool:
-    """holds(y) at AUDIT_POINTS random y = log r in [log 1e-6, log r_max]."""
+    """holds(y, log u(e^y)) at AUDIT_POINTS random y = log r in [log 1e-6, log r_max]."""
     ys = rng.uniform(math.log(1e-6), math.log(u.r_max), AUDIT_POINTS)
-    return all(holds(y) for y in ys)
+    return bool(holds(ys, _safe_log_eval(u, _exp(ys))).all())
 
 
 def audit_infimum(u: WeightFunction, t: float, log_ell: float, rng) -> bool:
     """Certificate check: log u(r) - t log r >= log_ell - AUDIT_TOL on random r."""
-    return _audit(u, rng, lambda y: _safe_log_eval(u, math.exp(y)) - t * y >= log_ell - AUDIT_TOL)
+    return _audit(u, rng, lambda y, log_u: log_u - t * y >= log_ell - AUDIT_TOL)
 
 
 def audit_supremum(u: WeightFunction, r: float, log_ustar: float, rng) -> bool:
     """Certificate check: 2 sqrt(r s) - log u(s) <= log_ustar + AUDIT_TOL on random s."""
-    return _audit(u, rng, lambda y: (
-        2.0 * math.sqrt(r * math.exp(y)) - _safe_log_eval(u, math.exp(y))
-        <= log_ustar + AUDIT_TOL
-    ))
+    return _audit(u, rng, lambda y, log_u: 2.0 * np.sqrt(r * _exp(y)) - log_u
+                  <= log_ustar + AUDIT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,19 @@ linear term) are usually unimodal but that is not guaranteed, so the scan
 of each row keeps several candidate brackets and refines each one.  All rows
 of a batch share one scan grid, and the caller supplies the scan values.
 
-Each bracket is refined on its own, in Python floats.  A refinement of all
-brackets in lockstep in numpy arrays gave the same bits, but its short-lived
-arrays fragmented the heap around the 16 MB monomial matrix of ``chaos-bounds``
-(peak RSS +15 MB in 3 of 4 runs, 2-core VM) while an (S, K, d) power array was
-still built for it.  No such array is built now; the lockstep is not re-measured.
+Every bracket of a batch is refined in lockstep in numpy arrays, with the
+float operations of a one-bracket golden-section search (Kiefer, Proc. AMS
+4, 1953) in the same order, so each bracket ends on the bits that search
+reaches; a bracket leaves the live set when its own width test passes.  The
+objective is called once per step on the points of all live brackets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE = 65  # points of the uniform coarse scan
@@ -35,29 +37,36 @@ class BatchMinResult:
     x: tuple[float, ...]
     value: tuple[float, ...]
     status: tuple[str, ...]
-    evaluations: int  # calls of the objective, summed over the rows
+    evaluations: int  # objective values computed, summed over the rows
 
 
-def _refine(f, k: int, a: float, b: float):
-    """Golden-section search of f(k, .) on [a, b]: (x, f(k, x), evaluation count)."""
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(k, c), f(k, d)
-    evals = 2
+def _golden_sections(f, ks: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Golden-section search of objective ks[j] on [a[j], b[j]] for every
+    bracket j in lockstep: (x, value at x, evaluation count)."""
+    step = _INV_GOLDEN * (b - a)
+    c, d = b - step, a + step
+    fc, fd = f(ks, c), f(ks, d)
+    x, evals = np.empty(len(ks)), 3 * len(ks)  # the two first points and the last
+    live, k = np.arange(len(ks)), ks  # the brackets not yet narrow enough, and their objectives
     for _ in range(MAX_ITER):
-        if b - a <= TOL * (1.0 + abs(a) + abs(b)):
+        done = b - a <= TOL * (1.0 + np.abs(a) + np.abs(b))
+        if done.any():
+            x[live[done]] = 0.5 * (a[done] + b[done])
+            keep = ~done
+            live, k, a, b, c, d, fc, fd = (v[keep] for v in (live, k, a, b, c, d, fc, fd))
+        if not live.size:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(k, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(k, d)
-        evals += 1
-    x = 0.5 * (a + b)
-    return x, f(k, x), evals + 1
+        # fc < fd keeps [a, d], else [c, b]; a NaN comparison is False, as in Python
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = _INV_GOLDEN * (b - a)
+        p = np.where(left, b - step, a + step)
+        fp = f(k, p)
+        evals += live.size
+        c, d, fc, fd = (np.where(left, p, d), np.where(left, c, p),
+                        np.where(left, fp, fd), np.where(left, fc, fp))
+    x[live] = 0.5 * (a + b)  # brackets stopped by MAX_ITER
+    return x, f(ks, x), evals
 
 
 def scan_grid(lo: float, hi: float) -> list[float]:
@@ -71,50 +80,56 @@ def scan_grid(lo: float, hi: float) -> list[float]:
 def minimize_scalar(f, lo: float, hi: float, scan_values) -> BatchMinResult:
     """Global-ish minimum on [lo, hi] of every objective of a batch.
 
-    Row k of ``scan_values`` (any iterable of rows) is objective k on
-    ``scan_grid(lo, hi)``, computed by the caller; ``f(k, y)`` is objective
-    k at y, called only by the refinement.  Each row refines the
+    ``scan_values`` is an iterable of 2-D blocks of rows, and row k of the
+    batch, counted across the blocks, is objective k on ``scan_grid(lo, hi)``,
+    computed by the caller; ``f(ks, ys)`` is the array of objective ks[j] at
+    ys[j], called only by the refinement.  Each row refines the
     ``MULTI_START`` best local minima of its scan, in stable order of value,
     and keeps the first strict minimum of the refined values.  The status
     flags a minimum on a boundary of the interval, which callers read as
     evidence of an unbounded objective, or a row without any finite value.
     """
-    xs = scan_grid(lo, hi)
+    xs = np.array(scan_grid(lo, hi))
     edge = 2.0 * ((hi - lo) / (COARSE - 1))  # two scan steps
-    found, evals = [], 0
-    for k, vals in enumerate(scan_values):
-        if len(vals) != COARSE:
-            raise ValueError(f"need rows of {COARSE} scan values, got {len(vals)}")
-        # local minima of the scan (including endpoints)
-        candidates = []
-        for i in range(COARSE):
-            left = vals[i - 1] if i > 0 else math.inf
-            right = vals[i + 1] if i < COARSE - 1 else math.inf
-            if vals[i] <= left and vals[i] <= right and math.isfinite(vals[i]):
-                candidates.append(i)
-        if not candidates:
-            candidates = [min(range(COARSE), key=lambda j: vals[j])]
-        candidates.sort(key=lambda j: vals[j])
+    found, n = [], 0
+    for block in scan_values:
+        vals = np.asarray(block, dtype=float)
+        if vals.ndim != 2 or vals.shape[1] != COARSE:
+            raise ValueError(f"need rows of {COARSE} scan values, got shape {vals.shape}")
+        # local minima of the scan (including endpoints), in stable order of value
+        padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=math.inf)
+        local = (vals <= padded[:, :-2]) & (vals <= padded[:, 2:]) & np.isfinite(vals)
+        order = np.argsort(np.where(local, vals, math.inf), axis=1, kind="stable")
+        count = np.minimum(local.sum(axis=1), MULTI_START)
+        for i in np.flatnonzero(count == 0):  # no finite local minimum: the least value
+            order[i, 0], count[i] = min(range(COARSE), key=vals[i].tolist().__getitem__), 1
+        row, slot = np.nonzero(np.arange(MULTI_START) < count[:, None])
+        col = order[row, slot]
+        found.append((row + n, slot, col, vals[row, col],
+                      vals[:, 0] <= vals[:, 1], vals[:, -1] <= vals[:, -2]))
+        n += len(vals)
+    if not n:
+        return BatchMinResult(x=(), value=(), status=(), evaluations=0)
+    rows, slots, cols, scanned, lower_end, upper_end = map(np.concatenate, zip(*found))
 
-        best_x, best_v = math.nan, math.inf
-        for i in candidates[:MULTI_START]:
-            a = xs[max(i - 1, 0)]
-            b = xs[min(i + 1, COARSE - 1)]
-            if b <= a:
-                x, v = xs[i], vals[i]
-            else:
-                x, v, n = _refine(f, k, a, b)
-                evals += n
-            if v < best_v:
-                best_x, best_v = x, v
+    a, b = xs[np.maximum(cols - 1, 0)], xs[np.minimum(cols + 1, COARSE - 1)]
+    x, v = xs[cols], scanned  # a bracket without width keeps its scan point
+    wide = ~(b <= a)
+    x[wide], v[wide], evals = _golden_sections(f, rows[wide], a[wide], b[wide])
 
-        status = STATUS_OK
-        if best_v == math.inf:
-            status = STATUS_NO_FINITE
-        elif best_x - lo < edge and vals[0] <= vals[1]:
-            status = STATUS_LOWER_BOUNDARY
-        elif hi - best_x < edge and vals[-1] <= vals[-2]:
-            status = STATUS_UPPER_BOUNDARY
-        found.append((best_x, best_v, status))
-    x, value, status = zip(*found) if found else ((), (), ())
-    return BatchMinResult(x=x, value=value, status=status, evaluations=evals)
+    refined_x = np.full((n, MULTI_START), math.nan)
+    refined_v = np.full((n, MULTI_START), math.inf)
+    refined_x[rows, slots], refined_v[rows, slots] = x, v
+    best_x, best_v = np.full(n, math.nan), np.full(n, math.inf)
+    for j in range(MULTI_START):  # the first strict minimum: NaN and inf never win
+        better = refined_v[:, j] < best_v
+        best_x = np.where(better, refined_x[:, j], best_x)
+        best_v = np.where(better, refined_v[:, j], best_v)
+
+    no_finite = best_v == math.inf
+    lower = ~no_finite & (best_x - lo < edge) & lower_end
+    upper = ~no_finite & ~lower & (hi - best_x < edge) & upper_end
+    status = np.select([no_finite, lower, upper],
+                       [STATUS_NO_FINITE, STATUS_LOWER_BOUNDARY, STATUS_UPPER_BOUNDARY], STATUS_OK)
+    return BatchMinResult(x=tuple(best_x.tolist()), value=tuple(best_v.tolist()),
+                          status=tuple(status.tolist()), evaluations=evals)

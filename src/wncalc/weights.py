@@ -86,11 +86,14 @@ class WeightFunction:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def log_eval(self, r: float | np.ndarray) -> float | np.ndarray:
-        """log u(r); a 1-D array maps the scalar path over its elements as Python floats."""
-        if type(r) is _NDARRAY:  # not isinstance: ~240 000 scalar calls per u* build
+        """log u(r); at a 1-D array, the scalar path at each element as a Python float.
+        Where every float64 element passes its in-range test, that path is the kernel."""
+        if type(r) is _NDARRAY:  # not isinstance: a scalar call costs one more test
             if r.ndim != 1:
                 raise ValueError(f"{self.name}: log_eval takes a 1-D array, got {r.ndim}-D")
-            return np.array([self.log_eval(x) for x in r.tolist()], dtype=float)
+            in_range = r.dtype == np.float64 and ((0.0 < r) & (r <= self.r_max)).all()
+            return np.fromiter(map(self._log_eval if in_range else self.log_eval, r.tolist()),
+                               float, len(r))
         if not 0.0 < r <= self.r_max:  # the in-range case takes one test
             if r < 0:
                 raise DomainError(f"{self.name}: r={r} is negative")
@@ -239,6 +242,8 @@ def from_config(cfg: dict) -> WeightFunction:
     if family == "sqrt_log":
         return sqrt_log_weight(_order(params.get("k", 2)), **kw())
     if family == "custom_table":
+        if "r_max" in cfg:  # a table's r_max is its last abscissa
+            raise ValueError(f"weight config r_max={r_max!r} does not apply to custom_table")
         points = _read(lambda ps: [(float(r), float(v)) for r, v in ps], params["points"], "points")
         return custom_table(points, name=params.get("name", "custom_table"))
     raise ValueError(f"unknown weight family {family!r}")

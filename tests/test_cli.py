@@ -137,6 +137,8 @@ class TestExitCodes:
         '{"family": "power_exp", "params": {"beta": 0.5}, "r_max": NaN}',
         '{"family": "power_exp", "params": {"beta": 0.5}, "r_max": -1}',
         '{"family": "power_exp", "params": {"beta": 0.5}, "r_max": "abc"}',
+        # a table ends at its last abscissa, so an r_max is an error, not ignored
+        '{"family": "custom_table", "params": {"points": [[0, 0], [1, 1], [10, 3]]}, "r_max": -1}',
         '[1, 2]',
     ])
     def test_malformed_config_exits_one_with_one_line(self, capsys, tmp_path, config):

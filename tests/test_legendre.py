@@ -72,6 +72,22 @@ class TestLegendreTransform:
         for t in (1.0, 5.0, 12.0):
             res = legendre_transform(u, t)
             assert audit_infimum(u, t, res.log_value, rng)
+            assert not audit_infimum(u, t, res.log_value + 1.0, rng)
+
+
+def bell2_log_dual(r: float) -> float:
+    """log u*(r) of bell(2), log u(s) = e^s - 1, to 40 digits: the maximizer of
+    2 sqrt(rs) - log u(s) solves sqrt(r/s) = e^s, bisected in log s."""
+    with mp.workdps(40):
+        log_r, lo, hi = mp.log(r), mp.mpf(-60), mp.mpf(10)
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            if (log_r - mid) / 2 > mp.exp(mid):
+                lo = mid
+            else:
+                hi = mid
+        s = mp.exp((lo + hi) / 2)
+        return float(2 * mp.sqrt(r * s) - mp.expm1(s))
 
 
 class TestDualFunction:
@@ -89,6 +105,21 @@ class TestDualFunction:
         for r in (0.5, 10.0):
             res = dual_function(u, r)
             assert audit_supremum(u, r, res.log_value, rng)
+            assert not audit_supremum(u, r, res.log_value - 10.0, rng)
+
+    # off the knots of the u* grid, which has 256 per decade from 1e-8
+    BELL2_RS = [1.3e-4, 0.31, 47.0, 3.9e4, 6.1e7]
+
+    def test_bell_2_against_a_bisection_oracle(self):
+        got = [row.log_value for row in dual_function(bell_weight(2), self.BELL2_RS)]
+        # the kernel's e^s - 1 in floats makes the error absolute where log u* < 1
+        assert got == pytest.approx([bell2_log_dual(r) for r in self.BELL2_RS],
+                                    rel=1e-14, abs=1e-14)
+
+    def test_bell_2_u_star_against_a_bisection_oracle(self):
+        got = dual_weight(bell_weight(2)).log_eval(np.array(self.BELL2_RS))
+        assert got.tolist() == pytest.approx([bell2_log_dual(r) for r in self.BELL2_RS],
+                                             rel=1e-8, abs=0.0)
 
     def test_materialized_dual_matches_pointwise(self):
         u = power_exp(0.25)
@@ -239,9 +270,10 @@ class TestEllSequenceMemo:
         minimize = optimize.minimize_scalar
 
         def counting(f, lo, hi, scan_values):
-            rows = list(scan_values)
-            solves.extend(rows)
-            return minimize(f, lo, hi, rows)
+            blocks = list(scan_values)
+            for block in blocks:
+                solves.extend(block)
+            return minimize(f, lo, hi, blocks)
 
         monkeypatch.setattr(optimize, "minimize_scalar", counting)
         return solves
@@ -265,62 +297,6 @@ class TestEllSequenceMemo:
         assert got.tobytes() == chaos.log_ell_sequence(power_exp(0.3), 10).tobytes()
 
 
-class TestSharedScan:
-    """Solves that build their coarse scan rows from one batch scan of log u
-    return what the scanning optimizer returns on the objective itself."""
-
-    WEIGHTS = {
-        "power_exp(0.3)": lambda: power_exp(0.3),
-        "bell(2)": lambda: bell_weight(2),
-        # log u overflows near r_max = 800, so the scan holds inf
-        "bell(2) to 800": lambda: bell_weight(2, r_max=800.0),
-        "u* of power_exp(0)": lambda: dual_weight(power_exp(0.0), per_decade=16),
-    }
-
-    @staticmethod
-    def scanning(u, objective):
-        return scalar_optimize.minimize_scalar(objective, legendre._Y_LO, math.log(u.r_max))
-
-    @pytest.mark.parametrize("name", list(WEIGHTS))
-    def test_legendre_transform_matches_the_scanning_optimizer(self, name):
-        u = self.WEIGHTS[name]()
-        for t in (0.0, 1.0, 2.5, 7.0, 20.0):
-            ref = self.scanning(
-                u, lambda y: legendre._safe_log_eval(u, math.exp(y)) - t * y
-            )
-            got = legendre_transform(u, t)
-            assert got == legendre.TransformResult(ref.value, math.exp(ref.x), ref.status)
-
-    @pytest.mark.parametrize("name", list(WEIGHTS))
-    def test_dual_function_matches_the_scanning_optimizer(self, name):
-        u = self.WEIGHTS[name]()
-        for r in (0.0, 1e-6, 0.3, 4.0, 50.0):
-            sqrt_r = math.sqrt(r)
-            ref = self.scanning(u, lambda y: -(
-                2.0 * sqrt_r * math.exp(0.5 * y) - legendre._safe_log_eval(u, math.exp(y))
-            ))
-            got = dual_function(u, r)
-            assert got == legendre.TransformResult(-ref.value, math.exp(ref.x), ref.status)
-
-    def test_evaluations_count_only_the_refinement(self):
-        u = power_exp(0.3)
-
-        def g(y):
-            return legendre._safe_log_eval(u, math.exp(y)) - 2.0 * y
-
-        ys = optimize.scan_grid(legendre._Y_LO, math.log(u.r_max))
-        ref = self.scanning(u, g)
-        got = optimize.minimize_scalar(
-            lambda k, y: g(y), legendre._Y_LO, math.log(u.r_max), scan_values=[[g(y) for y in ys]],
-        )
-        assert (got.x[0], got.value[0], got.status[0]) == (ref.x, ref.value, ref.status)
-        assert got.evaluations == ref.evaluations - len(ys)
-
-    def test_scan_values_of_the_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            optimize.minimize_scalar(lambda k, y: abs(y), -1.0, 1.0, scan_values=[[0.0] * 64])
-
-
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
@@ -335,8 +311,8 @@ def _first_error(solve_each):
 
 class TestBatchSolver:
     """A batch of transforms equals the frozen scalar solver run once per
-    argument: the same floats, statuses and first error, and as many
-    refinement evaluations."""
+    argument on its own objective: the same floats, statuses and first error,
+    and as many evaluations less the coarse scan of each solve."""
 
     WEIGHTS = {
         "power_exp(0)": lambda: power_exp(0.0),
@@ -345,6 +321,7 @@ class TestBatchSolver:
         "bell(2)": lambda: bell_weight(2),
         # log u overflows near r_max = 800, so the scan rows hold inf
         "bell(2) to 800": lambda: bell_weight(2, r_max=800.0),
+        "u* of power_exp(0)": lambda: dual_weight(power_exp(0.0), per_decade=16),
     }
 
     @staticmethod
@@ -369,7 +346,8 @@ class TestBatchSolver:
         assert _bits([row.log_value for row in rows]) == _bits([ref.log_value for ref, _ in refs])
         assert _bits([row.arg_r for row in rows]) == _bits([ref.arg_r for ref, _ in refs])
 
-    @pytest.mark.parametrize("name", list(WEIGHTS))
+    # u* of u* is u, whose maximizer passes r_max = 1e8 at the top of the grid
+    @pytest.mark.parametrize("name", [name for name in WEIGHTS if not name.startswith("u*")])
     def test_dual_function_on_the_default_u_star_grid(self, name, monkeypatch):
         # the batch under test is the one dual_function call of a u* build
         u = self.WEIGHTS[name]()
@@ -389,6 +367,15 @@ class TestBatchSolver:
         assert evaluations == sum(n - optimize.COARSE for _, n in refs)
 
     @pytest.mark.parametrize("name", list(WEIGHTS))
+    def test_dual_function_at_five_arguments(self, name, monkeypatch):
+        u = self.WEIGHTS[name]()
+        rs = [0.0, 1e-6, 0.3, 4.0, 50.0]
+        rows, evaluations = self.solve(monkeypatch, dual_function, u, np.array(rs))
+        refs = [scalar_optimize.dual_function(u, r) for r in rs]
+        self.assert_bit_equal(rows, refs)
+        assert evaluations == sum(n - optimize.COARSE for _, n in refs)
+
+    @pytest.mark.parametrize("name", list(WEIGHTS))
     def test_legendre_transform_up_to_forty(self, name, monkeypatch):
         u = self.WEIGHTS[name]()
         rows, evaluations = self.solve(monkeypatch, legendre_transform, u, np.arange(41.0))
@@ -399,7 +386,7 @@ class TestBatchSolver:
     def test_random_scans_match_the_scalar_solver(self):
         # ties, signed zeros, inf, -inf and NaN in the scans exercise the
         # candidate order, the fallback without a finite local minimum and
-        # the first-strict-minimum rule
+        # the first-strict-minimum rule; uneven blocks exercise the row count
         rng = np.random.default_rng(5)
         lo, hi = -3.0, 4.0
         grid = np.array(optimize.scan_grid(lo, hi))
@@ -411,6 +398,12 @@ class TestBatchSolver:
             v = (y - centers[k]) ** 2 + waves[k] * math.sin(5.0 * y)
             return math.nan if waves[k] == 3.0 and y > 3.5 else v
 
+        batch_points = []  # every point the batch objective is asked for
+
+        def objective(ks, ys):
+            batch_points.extend(ys.tolist())
+            return np.array([g(k, y) for k, y in zip(ks.tolist(), ys.tolist())], dtype=float)
+
         scans = np.array([[g(k, y) for y in grid.tolist()] for k in range(300)])
         scans[::3] = np.round(scans[::3])
         scans[1::7] = -0.0
@@ -418,7 +411,7 @@ class TestBatchSolver:
             scans[rng.random(scans.shape) < 0.05] = fill
         scans[2::11] = rng.choice([math.inf, math.nan], (len(scans[2::11]), 65))
 
-        got = optimize.minimize_scalar(g, lo, hi, scans.tolist())
+        got = optimize.minimize_scalar(objective, lo, hi, np.split(scans, [7, 100, 101]))
         points = []  # every point the scalar solver evaluates, failing rows included
 
         def counted(k, y):
@@ -434,7 +427,21 @@ class TestBatchSolver:
             assert got.status[k] == ref.status
             assert _bits([got.x[k], got.value[k]]) == _bits([ref.x, ref.value])
         assert optimize.STATUS_NO_FINITE in got.status
-        assert got.evaluations == len(points)
+        assert got.evaluations == len(points) == len(batch_points)
+        assert sorted(batch_points) == sorted(points)
+
+    def test_scan_values_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="need rows of 65 scan values"):
+            optimize.minimize_scalar(lambda ks, y: np.abs(y), -1.0, 1.0, [np.zeros((1, 64))])
+
+    def test_safe_log_eval_of_an_array_is_inf_where_the_scalar_call_is(self):
+        # bell's kernel takes exp of r <= 700 only, and raises past it
+        u = bell_weight(2, r_max=800.0)
+        rs = np.array([0.0, 1e-3, 3.0, 699.0, 700.0, 700.5, 709.7, 709.8, 750.0, 800.0])
+        want = [legendre._safe_log_eval(u, r) for r in rs.tolist()]
+        got = legendre._safe_log_eval(u, rs)
+        assert _bits(got) == _bits(want)
+        assert np.isinf(want).tolist() == [False] * 5 + [True] * 5
 
     def test_a_scalar_argument_is_a_batch_of_one(self):
         u = power_exp(0.3)

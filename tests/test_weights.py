@@ -11,6 +11,7 @@ from wncalc.weights import (
     VIOLATED,
     DomainError,
     PrecisionError,
+    WeightFunction,
     bell_weight,
     check_log_x2_convex,
     classify,
@@ -79,6 +80,47 @@ class TestArrayContract:
         with pytest.raises(error) as got:
             u.log_eval(np.array(rs))
         assert str(got.value) == str(want.value)
+
+    @staticmethod
+    def outcome(call):
+        """The bits of call(), or the type and message of what it raises."""
+        try:
+            return _bits(call()).tobytes()
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("make", [
+        lambda: power_exp(0.3, r_max=100.0),
+        lambda: bell_weight(2),
+        lambda: custom_table([(0, 0.3), (0.5, 1.0), (2.0, 1.5), (10.0, 4.0)]),
+        lambda: from_callable("kinked", _kinked, r_max=50.0),
+        lambda: dual_weight(power_exp(0.3), per_decade=16),
+    ], ids=["power_exp(0.3)", "bell(2)", "custom_table", "kinked", "u*"])
+    def test_each_kind_of_element_alone_and_among_in_range_ones(self, make):
+        # an in-range array maps the kernel; any other element sends the whole
+        # array down the scalar path, and both give the scalar calls' bits or error
+        u = make()
+        inside = np.geomspace(u.r_max * 1e-6, u.r_max * 0.999, 9)
+        kinds = {"in range": [], "r = 0": [0.0, -0.0], "r = r_max": [u.r_max],
+                 "past r_max within 1e-9": [u.r_max * (1.0 + 5e-10)], "NaN": [math.nan],
+                 "negative": [-0.5]}
+        for kind, extra in kinds.items():
+            for rs in (np.array(extra, dtype=float), np.concatenate((inside, extra))):
+                want = self.outcome(lambda: [u.log_eval(r) for r in rs.tolist()])
+                assert self.outcome(lambda: u.log_eval(rs)) == want, kind
+        want = self.outcome(lambda: u.log_eval(-0.5))
+        assert want == (DomainError, f"{u.name}: r=-0.5 is negative")
+
+    def test_an_in_range_array_maps_the_kernel_alone(self, monkeypatch):
+        calls = []
+        log_eval = WeightFunction.log_eval
+        monkeypatch.setattr(WeightFunction, "log_eval",
+                            lambda u, r: calls.append(r) or log_eval(u, r))
+        u = power_exp(0.3, r_max=10.0)
+        u.log_eval(np.array([0.5, 3.0, 10.0]))
+        assert len(calls) == 1
+        u.log_eval(np.array([0.0, 3.0]))  # u(0) takes the scalar path, once per element
+        assert len(calls) == 4
 
     def test_kernel_sees_only_python_floats_in_range(self):
         seen = []
