@@ -71,6 +71,9 @@ class FiniteGaussianModel:
     indices: np.ndarray = field(init=False, repr=False, compare=False)
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
     log_mult: np.ndarray = field(init=False, repr=False, compare=False)
+    mult: np.ndarray = field(init=False, repr=False, compare=False)  # exp(log_mult)
+    # log prod_j lambda_j^(m_j) per multi-index
+    log_eigen_products: np.ndarray = field(init=False, repr=False, compare=False)
     # log n! for n = 0..N, looked up by degree
     log_factorials: np.ndarray = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -91,6 +94,8 @@ class FiniteGaussianModel:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "degrees", idx.sum(axis=1))
         object.__setattr__(self, "log_mult", np.array(lm))
+        object.__setattr__(self, "mult", np.exp(self.log_mult))
+        object.__setattr__(self, "log_eigen_products", idx @ np.log(self.eigenvalues))
         object.__setattr__(self, "log_factorials", np.array(lf))
 
     @property
@@ -110,7 +115,7 @@ class FiniteGaussianModel:
 
     def mode_log_weights(self, p: float) -> np.ndarray:
         """log of prod_j lambda_j^(2 p m_j) per multi-index."""
-        return 2.0 * p * (self.indices @ np.log(self.eigenvalues))
+        return 2.0 * p * self.log_eigen_products
 
 
 @dataclass(frozen=True)
@@ -240,7 +245,7 @@ def s_transform(Phi: ChaosVector, xi) -> complex:
 
 def s_transform_many(Phi: ChaosVector, xis: np.ndarray) -> np.ndarray:
     V = _monomials(Phi.model, xis)
-    return V @ (np.exp(Phi.model.log_mult) * Phi.coeffs)
+    return V @ (Phi.model.mult * Phi.coeffs)
 
 
 def t_transform(Phi: ChaosVector, xi) -> complex:
@@ -287,7 +292,7 @@ def point_eval(phi: ChaosVector, X: np.ndarray) -> np.ndarray:
     model = phi.model
     X = np.atleast_2d(np.asarray(X, dtype=float))
     P = _mode_products(model, _hermite_table(X, model.N))
-    return P @ (np.exp(model.log_mult) * phi.coeffs)
+    return P @ (model.mult * phi.coeffs)
 
 
 # ---------------------------------------------------------------------------

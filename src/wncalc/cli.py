@@ -272,9 +272,9 @@ def _cmd_verify_all(args, seed):
     )
 
     lam = grey.lam
-    u_int = weights.from_callable(
+    u_int = weights.WeightFunction(
         "grey_admissible",
-        lambda r: 0.5 * (2.0 - lam) * r ** (1.0 / (2.0 - lam)),
+        lambda r: 0.5 * (2.0 - lam) * weights.libm_map(pow, r, 1.0 / (2.0 - lam)),
         r_max=1e30, params={"lam": lam},
     )
     results["integrability"] = _jsonable(measures.integrability_check(

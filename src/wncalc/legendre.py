@@ -10,18 +10,20 @@ of u does not guarantee convexity of the objective in y.  A batch evaluates
 ``log u`` once on the 65 points of ``optimize.scan_grid`` and builds the
 scan rows from those values, a few hundred rows at a time; each lockstep
 step of the refinement is then one array call of ``log u``.  The arithmetic
-is the scalar expressions' in numpy and exp is ``math.exp``, so every value
-is bit for bit what one solve per argument gives.
+is the scalar expressions' in numpy and exp is ``math.exp`` mapped per
+element, so every value is bit for bit what one solve per argument gives.
 
 ``dual_weight`` builds u* when it is called: one ``dual_function`` batch on
 a geometric grid, clipped to be nondecreasing and interpolated by PCHIP in
 log r, so that transforms of transforms (the dual-sequence relation) stay
-tractable.  The returned WeightFunction holds only the interpolant and the
-grid's lower end, never u.  The PCHIP coefficients are computed here in
-numpy with the steps and the operation order of
-``scipy.interpolate.PchipInterpolator`` (``extrapolate=False``), and a
-scalar is evaluated in plain Python as scipy's ``PPoly`` does, so the values
-are scipy's to the bit without importing scipy.
+tractable.  The returned WeightFunction holds only the interpolant, the
+grid's lower end and log u* there, never u.  The PCHIP coefficients are
+computed here in numpy with the steps and the operation order of
+``scipy.interpolate.PchipInterpolator`` (``extrapolate=False``).  The u*
+kernel takes log r per element through libm, finds each interval by
+``searchsorted`` and sums the cubic in ``PPoly``'s order on the coefficient
+arrays, so the values at an array of radii are scipy's to the bit without
+importing scipy.
 
 ``dual_of(u)`` is the one u* of a weight object: the default-grid
 ``dual_weight(u)``, kept on u once built, so the dual-sequence check and the
@@ -33,7 +35,6 @@ norm reads a prefix of it.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ from .weights import (
     VIOLATED,
     PrecisionError,
     WeightFunction,
-    from_callable,
+    libm_map,
     tail_size,
 )
 
@@ -82,7 +83,7 @@ def _safe_log_eval(u: WeightFunction, r):
 
 def _exp(y: np.ndarray) -> np.ndarray:
     """e^y per element through libm's exp, the bits of math.exp (np.exp differs)."""
-    return np.fromiter(map(math.exp, y.tolist()), float, len(y))
+    return libm_map(math.exp, y)
 
 
 def _conjugate(u: WeightFunction, args, dual: bool):
@@ -180,48 +181,51 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Pchip:
-    """Scalar PCHIP interpolant on knots x, NaN outside [x_0, x_{n-1}].
+    """PCHIP interpolant on knots x, at a float64 array; NaN outside [x_0, x_{n-1}].
 
     Stands in for ``PchipInterpolator(x, y, extrapolate=False)``: it finds
-    the interval as scipy's ``PPoly`` does and sums the cubic in its order.
+    the intervals as scipy's ``PPoly`` does and sums the cubic in its order.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         c0, c1, c2, c3 = _pchip_coefficients(x, y)
-        self.knots = x.tolist()
+        self.knots = x
         # PPoly sums from 0.0, which turns a -0.0 constant term into +0.0
-        self.pieces = list(zip(c0.tolist(), c1.tolist(), c2.tolist(), (c3 + 0.0).tolist()))
+        self.coeffs = (c0, c1, c2, c3 + 0.0)
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         knots = self.knots
-        if not knots[0] <= x <= knots[-1]:
-            return math.nan
         # the interval [x_i, x_{i+1}) holding x; the last one is closed
-        i = min(bisect.bisect_right(knots, x) - 1, len(knots) - 2)
+        i = np.minimum(np.searchsorted(knots, x, side="right") - 1, len(knots) - 2)
         s = x - knots[i]
-        c0, c1, c2, c3 = self.pieces[i]
-        return ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
+        c0, c1, c2, c3 = (c[i] for c in self.coeffs)
+        out = ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
+        out[~((knots[0] <= x) & (x <= knots[-1]))] = math.nan
+        return out
 
 
-def _dual_log_eval(pchip: _Pchip, r_lo: float, r: float) -> float:
-    """log u*(r): the interpolant at log r, and linear in r below the grid start r_lo."""
-    x = math.log(r)
-    if x < pchip.knots[0]:
-        # below the grid: u* continuous with u*(0) = 1, interpolate to 0
-        return pchip(pchip.knots[0]) * (r / r_lo)
-    return pchip(x)
+def _dual_log_eval(pchip: _Pchip, r_lo: float, log_at_lo: float, r: np.ndarray) -> np.ndarray:
+    """log u*(r): the interpolant at log r, and below the grid start r_lo linear in r
+    from log u*(r_lo) = log_at_lo, so that u* is continuous with u*(0) = 1."""
+    x = libm_map(math.log, r)
+    out = pchip(x)
+    below = x < pchip.knots[0]
+    out[below] = log_at_lo * (r[below] / r_lo)
+    return out
 
 
 def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 256) -> WeightFunction:
     """u* by PCHIP in log r through one dual_function batch on [DUAL_R_LO, r_max]."""
     n = max(2, int(round(per_decade * math.log10(r_max / DUAL_R_LO))) + 1)
     log_r = np.linspace(math.log(DUAL_R_LO), math.log(r_max), n)
-    rows = dual_function(u, np.fromiter((math.exp(x) for x in log_r), float, n))
+    rows = dual_function(u, _exp(log_r))
     # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
     vals = np.maximum.accumulate(np.fromiter((row.log_value for row in rows), float, n))
-    return from_callable(
+    pchip = _Pchip(log_r, vals)
+    return WeightFunction(
         name=f"dual({u.name})",
-        log_eval=functools.partial(_dual_log_eval, _Pchip(log_r, vals), math.exp(log_r[0])),
+        _log_eval=functools.partial(_dual_log_eval, pchip, math.exp(log_r[0]),
+                                    pchip(log_r[:1])[0]),
         r_max=r_max,
         params={"dual_of": u.name, **{f"base_{k}": v for k, v in u.params.items()}},
     )

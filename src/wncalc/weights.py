@@ -5,6 +5,16 @@ built-in catalog (power-exponential family, iterated-exponential Bell
 family, tabulated functions) can be evaluated far beyond double-precision
 overflow.  Iterated exponentials are evaluated in floats; a value past a
 double raises :class:`PrecisionError`.
+
+Each weight holds one kernel: a function from a float64 1-D array of radii
+in (0, r_max], already checked by ``log_eval``, to the array of their
+``log u``.  libm functions (exp, log, pow) are applied per element through
+C-level maps (:func:`libm_map`), because numpy's own exp and power differ
+from libm in the last bit; numpy does only the IEEE operations (+, -, *, /,
+sqrt, comparisons) and the table lookups.  So a value is bit for bit the
+scalar expression's, and no Python frame runs per radius.
+:func:`from_callable` lifts a scalar log evaluator into such a kernel.
+
 Class-membership checks (divergence of ``log u(r)/log r``,
 ``log u(r)/sqrt(r)``, boundedness of ``log u(r)/r`` and convexity of
 ``log u(x^2)``) are finite-range spot checks: every verdict carries the
@@ -13,8 +23,10 @@ range of evidence and means "consistent up to r_max", never a proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +52,12 @@ class DomainError(ValueError):
 
 class PrecisionError(ArithmeticError):
     """The requested value does not fit in a double."""
+
+
+def libm_map(fn: Callable[..., float], x: np.ndarray, *consts: float) -> np.ndarray:
+    """fn(element, *consts) at each element of the 1-D array x as a Python float,
+    through a C-level map: libm's bits, which numpy's exp and power do not always give."""
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, consts)), float, len(x))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +93,7 @@ class WeightFunction:
     """A positive continuous function on [0, r_max], held as its log evaluator."""
 
     name: str
-    _log_eval: Callable[[float], float]
+    _log_eval: Callable[[np.ndarray], np.ndarray]  # kernel: in-range float64 radii -> log u
     r_max: float
     params: dict = field(default_factory=dict)
     u_at_zero: float = 1.0
@@ -86,14 +104,15 @@ class WeightFunction:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def log_eval(self, r: float | np.ndarray) -> float | np.ndarray:
-        """log u(r); at a 1-D array, the scalar path at each element as a Python float.
-        Where every float64 element passes its in-range test, that path is the kernel."""
+        """log u(r) as a Python float; at a 1-D array, the scalar path at each element.
+        A float64 array whose every element passes the in-range test goes to the kernel
+        in one call; a scalar goes to it as a one-element array."""
         if type(r) is _NDARRAY:  # not isinstance: a scalar call costs one more test
             if r.ndim != 1:
                 raise ValueError(f"{self.name}: log_eval takes a 1-D array, got {r.ndim}-D")
-            in_range = r.dtype == np.float64 and ((0.0 < r) & (r <= self.r_max)).all()
-            return np.fromiter(map(self._log_eval if in_range else self.log_eval, r.tolist()),
-                               float, len(r))
+            if r.dtype == np.float64 and ((0.0 < r) & (r <= self.r_max)).all():
+                return self._log_eval(r)
+            return np.fromiter(map(self.log_eval, r.tolist()), float, len(r))
         if not 0.0 < r <= self.r_max:  # the in-range case takes one test
             if r < 0:
                 raise DomainError(f"{self.name}: r={r} is negative")
@@ -102,7 +121,7 @@ class WeightFunction:
             if r == 0:
                 return math.log(self.u_at_zero)
             r = min(r, self.r_max)
-        return self._log_eval(r)
+        return self._log_eval(np.array([r], dtype=float)).item()
 
     def __repr__(self):  # params carry the identity; the callable does not
         return f"WeightFunction({self.name!r}, params={self.params}, r_max={self.r_max})"
@@ -114,8 +133,8 @@ def power_exp(beta: float, r_max: float = 1e30) -> WeightFunction:
         raise ValueError("beta must be in [0, 1)")
     expo = 1.0 / (1.0 + beta)
 
-    def f(r: float) -> float:
-        return (1.0 + beta) * r**expo
+    def f(r: np.ndarray) -> np.ndarray:
+        return (1.0 + beta) * libm_map(pow, r, expo)
 
     return WeightFunction(
         name=f"power_exp(beta={beta})", _log_eval=f, r_max=r_max,
@@ -136,8 +155,13 @@ def bell_weight(k: int, r_max: float | None = None) -> WeightFunction:
         r_max = {1: 1e30, 2: 700.0}.get(k, 6.0)
     base = _descend(k - 1, 0.0)
 
-    def f(r: float) -> float:
-        return _descend(k - 1, float(r)) - base
+    def f(r: np.ndarray) -> np.ndarray:
+        x = r
+        for _ in range(k - 1):
+            if not (x <= _LEVEL_DOWN_CAP).all():  # _descend raises at the first such r
+                return libm_map(functools.partial(_descend, k - 1), r) - base
+            x = libm_map(math.exp, x)
+        return x - base
 
     return WeightFunction(
         name=f"bell(k={k})", _log_eval=f, r_max=r_max, params={"k": k},
@@ -149,8 +173,11 @@ def sqrt_log_weight(k: int = 2, r_max: float = 1e30) -> WeightFunction:
     if k < 2:
         raise ValueError("k must be >= 2")
 
-    def f(r: float) -> float:
-        return 2.0 * math.sqrt(r * log_k(k - 1, math.sqrt(r)))
+    def f(r: np.ndarray) -> np.ndarray:
+        x = np.sqrt(r)
+        for _ in range(k - 1):  # log_k(k - 1, .); fmax, like max, reads NaN as the smaller
+            x = libm_map(math.log, np.fmax(math.e, x))
+        return 2.0 * np.sqrt(r * x)
 
     return WeightFunction(
         name=f"sqrt_log(k={k})", _log_eval=f, r_max=r_max, params={"k": k},
@@ -163,8 +190,10 @@ def from_callable(
     r_max: float = DEFAULT_R_MAX,
     params: dict | None = None,
 ) -> WeightFunction:
-    """An increasing weight with u(0) = 1 from its log evaluator."""
-    return WeightFunction(name=name, _log_eval=log_eval, r_max=r_max, params=params or {})
+    """An increasing weight with u(0) = 1 from a scalar log evaluator, which its
+    kernel maps over the elements of an array as Python floats."""
+    return WeightFunction(name=name, _log_eval=functools.partial(libm_map, log_eval),
+                          r_max=r_max, params=params or {})
 
 
 def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_table") -> WeightFunction:
@@ -195,10 +224,11 @@ def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_tabl
     except OverflowError:
         raise ValueError(f"table log u(0)={u0!r} puts u(0) past a double") from None
 
-    def f(r: float) -> float:
-        if r < r_lo:
-            return u0 + (vals[0] - u0) * (r / r_lo)
-        return float(np.interp(math.log(r), logr, vals))
+    def f(r: np.ndarray) -> np.ndarray:
+        out = np.interp(libm_map(math.log, r), logr, vals)
+        below = r < r_lo
+        out[below] = u0 + (vals[0] - u0) * (r[below] / r_lo)
+        return out
 
     return WeightFunction(
         name=name, _log_eval=f, r_max=r_hi,

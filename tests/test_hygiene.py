@@ -33,8 +33,10 @@ SCALE_LOOPS = {"lattice"}
 def looped_log_evals(source: str) -> list[int]:
     """Lines where a loop or comprehension calls ``.log_eval``.
 
-    ``WeightFunction.log_eval`` itself is left out: its array branch is the
-    one place that maps the scalar path over elements.
+    ``WeightFunction.log_eval`` itself is left out: an in-range array goes
+    to its kernel in one call, and its array branch is the one place that
+    maps the scalar path over elements, for arrays holding r = 0, an r past
+    r_max or a non-float64 dtype.
     """
     tree = ast.parse(source)
     own = set()

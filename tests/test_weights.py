@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_kernels
 from wncalc.legendre import dual_weight
 from wncalc.weights import (
     CONSISTENT,
@@ -23,6 +26,9 @@ from wncalc.weights import (
     power_exp,
     sqrt_log_weight,
 )
+
+
+_TABLE = [(0, 0.3), (0.5, 1.0), (2.0, 1.5), (10.0, 4.0)]
 
 
 def _kinked(r):
@@ -55,7 +61,7 @@ class TestArrayContract:
         lambda: bell_weight(3),
         lambda: sqrt_log_weight(2),
         lambda: sqrt_log_weight(3),
-        lambda: custom_table([(0, 0.3), (0.5, 1.0), (2.0, 1.5), (10.0, 4.0)]),
+        lambda: custom_table(_TABLE),
         lambda: from_callable("kinked", _kinked, r_max=50.0),
         lambda: dual_weight(power_exp(0.3), per_decade=16),
     ], ids=["power_exp(0.7)", "power_exp(0)", "bell(1)", "bell(2)", "bell(3)",
@@ -92,7 +98,7 @@ class TestArrayContract:
     @pytest.mark.parametrize("make", [
         lambda: power_exp(0.3, r_max=100.0),
         lambda: bell_weight(2),
-        lambda: custom_table([(0, 0.3), (0.5, 1.0), (2.0, 1.5), (10.0, 4.0)]),
+        lambda: custom_table(_TABLE),
         lambda: from_callable("kinked", _kinked, r_max=50.0),
         lambda: dual_weight(power_exp(0.3), per_decade=16),
     ], ids=["power_exp(0.3)", "bell(2)", "custom_table", "kinked", "u*"])
@@ -171,6 +177,103 @@ class TestFloatTower:
             bell_weight(4).log_eval(3.0)
         with pytest.raises(PrecisionError, match=r"^value exp\^9\("):
             bell_weight(14)  # exp_13(0) leaves double range at its base
+
+
+def _u_star():
+    """A u*, the frozen scalar u* kernel on its knots and coefficients, and a radius
+    below its first knot 1e-8, where u* is linear in r."""
+    ustar = dual_weight(power_exp(0.3), per_decade=16)
+    pchip, r_lo, _ = ustar._log_eval.args
+    oracle = scalar_kernels.Pchip(pchip.knots, np.array(pchip.coeffs))
+    return ustar, lambda r: scalar_kernels.dual_log_eval(oracle, r_lo, r), 1e-20
+
+
+# (weight, its frozen scalar kernel, the low end of the log-uniform test radii)
+KERNELS = {
+    "power_exp(0)": lambda: (power_exp(0.0), scalar_kernels.power_exp(0.0), 1e-12),
+    "power_exp(0.3)": lambda: (power_exp(0.3), scalar_kernels.power_exp(0.3), 1e-12),
+    "power_exp(0.7)": lambda: (power_exp(0.7), scalar_kernels.power_exp(0.7), 1e-12),
+    "bell(1)": lambda: (bell_weight(1), scalar_kernels.bell(1), 1e-12),
+    "bell(2)": lambda: (bell_weight(2), scalar_kernels.bell(2), 1e-12),
+    "bell(3)": lambda: (bell_weight(3), scalar_kernels.bell(3), 1e-12),
+    "sqrt_log(2)": lambda: (sqrt_log_weight(2), scalar_kernels.sqrt_log(2), 1e-12),
+    "sqrt_log(3)": lambda: (sqrt_log_weight(3), scalar_kernels.sqrt_log(3), 1e-12),
+    # below the first positive abscissa 0.5 the table is linear in r
+    "custom_table": lambda: (custom_table(_TABLE), scalar_kernels.custom_table(_TABLE), 1e-6),
+    "u*": _u_star,
+}
+
+
+class TestKernelsMatchTheFrozenScalarKernels:
+    """Each array kernel gives the bits of the scalar kernel it replaced, kept
+    verbatim in ``scalar_kernels``, on 100 001 radii in (0, r_max] at once."""
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_array_kernel_bits(self, name):
+        u, oracle, r_low = KERNELS[name]()
+        rng = np.random.default_rng(21)
+        r_max = u.r_max
+        # uniform on (0, r_max], log-uniform from below the first knot, and r_max
+        rs = np.concatenate((
+            r_max * (1.0 - rng.random(50_000)),
+            np.minimum(np.exp(rng.uniform(math.log(r_low), math.log(r_max), 50_000)), r_max),
+            [r_max],
+        ))
+        assert ((0.0 < rs) & (rs <= r_max)).all()
+        want = np.array([oracle(r) for r in rs.tolist()])
+        assert np.array_equal(u.log_eval(rs).view(np.uint64), want.view(np.uint64))
+        # the 1e-9 allowance past r_max reads as r_max, on the scalar path too
+        past = np.array([u.log_eval(r_max * (1.0 + 5e-10))])
+        assert past.view(np.uint64)[0] == np.array([oracle(r_max)]).view(np.uint64)[0]
+        assert type(u.log_eval(r_max)) is float
+
+    @pytest.mark.parametrize("k, rs", [(3, [1.0, 6.6, 6.9]), (4, [0.5, 2.0, 3.0])],
+                             ids=["bell(3)", "bell(4)"])
+    def test_bell_past_a_double_raises_the_frozen_message(self, k, rs):
+        # an in-range array with a value past a double raises at its first such radius
+        with pytest.raises(scalar_kernels.PrecisionError) as frozen:
+            scalar_kernels.bell(k)(rs[1])
+        with pytest.raises(PrecisionError) as got:
+            bell_weight(k, r_max=7.0).log_eval(np.array(rs))
+        assert str(got.value) == str(frozen.value)
+
+
+def _python_frames(call) -> int:
+    """How many Python frames call() runs."""
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+class TestOneKernelCall:
+    """An in-range array reaches the kernel in one call, and the kernel runs
+    no Python frame per radius: its frame count does not grow with the array."""
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_in_range_array_is_one_kernel_call(self, name):
+        u = KERNELS[name]()[0]
+        calls = []
+        counted = dataclasses.replace(u, _log_eval=lambda r: calls.append(len(r)) or u._log_eval(r))
+        frames = []
+        for n in (10, 1000):
+            # from far below the first knot up to r_max, so every branch runs
+            rs = np.geomspace(u.r_max * 1e-20, u.r_max, n)
+            frames.append(_python_frames(lambda: counted.log_eval(rs)))
+        assert calls == [10, 1000]
+        assert frames[0] == frames[1]
+
+    def test_a_lifted_scalar_callable_runs_once_per_radius(self):
+        u = from_callable("linear", lambda r: r, r_max=10.0)
+        assert _python_frames(lambda: u.log_eval(np.geomspace(1.0, 10.0, 100))) >= 100
 
 
 class TestLogK:
