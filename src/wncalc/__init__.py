@@ -75,7 +75,6 @@ from .measures import (
     PositiveDefiniteReport,
     SamplerValidationError,
     check_positive_definite,
-    grey_char,
     integrability_check,
     mittag_leffler,
     poisson_char,

@@ -125,13 +125,9 @@ def _cmd_legendre(args, seed):
 def _cmd_dual(args, seed):
     u, cfg = _weight_from_args(args)
     rs = np.geomspace(args.r_lo, args.r_hi, args.points)
-    rows = legendre.dual_function(u, rs)
-    return {
-        "weight": _jsonable(u),
-        "r": [float(r) for r in rs],
-        "log_ustar": [r.log_value for r in rows],
-        "argmax_s": [r.arg_r for r in rows],
-    }, cfg
+    res = legendre.dual_function(u, rs)
+    return {"weight": _jsonable(u), "r": rs.tolist(), "log_ustar": res.log_value.tolist(),
+            "argmax_s": res.arg_r.tolist()}, cfg
 
 
 def _cmd_duality(args, seed):

@@ -2,11 +2,12 @@
 
 ``legendre_transform(u, t)`` computes ``inf_{r>0} u(r)/r^t`` and
 ``dual_function(u, r)`` computes ``sup_{s>0} exp(2 sqrt(rs))/u(s)``, in log
-space, at one argument or at each element of a 1-D array.  Both are one
-conjugate problem in ``y = log r``, which ``_conjugate`` solves for all
-arguments in one ``optimize.minimize_scalar`` batch: a coarse scan and
-golden-section refinement of several brackets, since (log, x^2)-convexity
-of u does not guarantee convexity of the objective in y.  A batch evaluates
+space, at one argument or at each element of a 1-D array; a ``TransformResult``
+holds floats for the one and float64 columns for the other.  Both are one
+conjugate problem in ``y = log r``, solved for all arguments in one
+``optimize.minimize_scalar`` batch: a coarse scan and golden-section
+refinement of several brackets, since (log, x^2)-convexity of u does not
+guarantee convexity of the objective in y.  A batch evaluates
 ``log u`` once on the 65 points of ``optimize.scan_grid`` and builds the
 scan rows from those values, a few hundred rows at a time; each lockstep
 step of the refinement is then one array call of ``log u``.  The arithmetic
@@ -64,10 +65,10 @@ class UnboundedError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class TransformResult:
-    log_value: float
-    arg_r: float
-    status: str
+class TransformResult:  # floats and a str at a scalar argument, columns at a 1-D array
+    log_value: float | np.ndarray
+    arg_r: float | np.ndarray
+    status: str | np.ndarray
 
 
 def _safe_log_eval(u: WeightFunction, r):
@@ -86,10 +87,10 @@ def _exp(y: np.ndarray) -> np.ndarray:
     return libm_map(math.exp, y)
 
 
-def _conjugate(u: WeightFunction, args, dual: bool):
+def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
     """Minimize log u(e^y) - t y over y for each t, or, with ``dual``, minus the max
     of 2 sqrt(r) e^{y/2} - log u(e^y) for each r, in one batch.  The first failing
-    argument raises, as a loop would; a scalar gives one TransformResult."""
+    argument raises, as a loop would; a scalar gives float fields."""
     ps = np.array(args, dtype=float, ndmin=1)
     if (ps < 0).any():
         raise ValueError(f"{'r' if dual else 't'} must be >= 0")
@@ -110,27 +111,29 @@ def _conjugate(u: WeightFunction, args, dual: bool):
             return _safe_log_eval(u, _exp(y)) - ps[ks] * y
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as in Python floats
         res = optimize.minimize_scalar(objective, _Y_LO, y_hi, blocks)
-    out = [None] * len(ps)  # sized once: lists grown in step fragment the heap
-    for k, (a, x, v, st) in enumerate(zip(ps.tolist(), res.x, res.value, res.status)):
-        if st == optimize.STATUS_NO_FINITE:
+    no_finite = res.status == optimize.STATUS_NO_FINITE
+    failed = no_finite | ((res.status == optimize.STATUS_UPPER_BOUNDARY) & (ps > 0))
+    if failed.any():
+        k = int(np.argmax(failed))
+        if no_finite[k]:
             raise ValueError(f"no finite objective value found on [{_Y_LO}, {y_hi}]")
-        if st == optimize.STATUS_UPPER_BOUNDARY and a > 0:
-            raise UnboundedError((
-                f"sup of exp(2 sqrt({a} s))/{u.name}(s) still increasing at r_max={u.r_max}:"
-                " the maximizer lies beyond the search limit r_max,"
-                " or u fails the C_+,1/2 growth condition"
-            ) if dual else f"inf of {u.name}(r)/r^{a} still decreasing at r_max={u.r_max}")
-        out[k] = TransformResult(-v if dual else v, math.exp(x), st)
-    return out if np.ndim(args) else out[0]
+        a = float(ps[k])
+        raise UnboundedError((
+            f"sup of exp(2 sqrt({a} s))/{u.name}(s) still increasing at r_max={u.r_max}:"
+            " the maximizer lies beyond the search limit r_max,"
+            " or u fails the C_+,1/2 growth condition"
+        ) if dual else f"inf of {u.name}(r)/r^{a} still decreasing at r_max={u.r_max}")
+    out = (-res.value if dual else res.value, _exp(res.x), res.status)
+    return TransformResult(*(out if np.ndim(args) else (col[0].item() for col in out)))
 
 
-def legendre_transform(u: WeightFunction, t):
-    """log of inf_{r>0} u(r)/r^t, with the minimizer r*; a list for a 1-D array t."""
+def legendre_transform(u: WeightFunction, t) -> TransformResult:
+    """log of inf_{r>0} u(r)/r^t, with the minimizer r*; columns for a 1-D array t."""
     return _conjugate(u, t, dual=False)
 
 
-def dual_function(u: WeightFunction, r):
-    """log of sup_{s>0} exp(2 sqrt(rs))/u(s), with the maximizer s*; a list for a 1-D array r."""
+def dual_function(u: WeightFunction, r) -> TransformResult:
+    """log of sup_{s>0} exp(2 sqrt(rs))/u(s), with the maximizer s*; columns for a 1-D array r."""
     return _conjugate(u, r, dual=True)
 
 
@@ -218,9 +221,8 @@ def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 256) ->
     """u* by PCHIP in log r through one dual_function batch on [DUAL_R_LO, r_max]."""
     n = max(2, int(round(per_decade * math.log10(r_max / DUAL_R_LO))) + 1)
     log_r = np.linspace(math.log(DUAL_R_LO), math.log(r_max), n)
-    rows = dual_function(u, _exp(log_r))
     # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
-    vals = np.maximum.accumulate(np.fromiter((row.log_value for row in rows), float, n))
+    vals = np.maximum.accumulate(dual_function(u, _exp(log_r)).log_value)
     pchip = _Pchip(log_r, vals)
     return WeightFunction(
         name=f"dual({u.name})",
@@ -248,7 +250,7 @@ def log_ell_sequence(u: WeightFunction, n_max: int) -> np.ndarray:
     seq = u._memo.get("log_ell", np.empty(0))
     if len(seq) <= n_max:
         more = legendre_transform(u, np.arange(len(seq), n_max + 1, dtype=float))
-        seq = u._memo["log_ell"] = np.concatenate((seq, [row.log_value for row in more]))
+        seq = u._memo["log_ell"] = np.concatenate((seq, more.log_value))
     return seq[: n_max + 1]
 
 
@@ -271,13 +273,9 @@ class LegendreTable:
 
 
 def legendre_table(u: WeightFunction, t_grid: Sequence[float]) -> LegendreTable:
-    rows = legendre_transform(u, t_grid)
-    return LegendreTable(
-        t_grid=[float(t) for t in t_grid],
-        log_ell=[r.log_value for r in rows],
-        argmin_r=[r.arg_r for r in rows],
-        optimizer_status=[r.status for r in rows],
-    )
+    res = legendre_transform(u, t_grid)
+    return LegendreTable(t_grid=[float(t) for t in t_grid], log_ell=res.log_value.tolist(),
+                         argmin_r=res.arg_r.tolist(), optimizer_status=res.status.tolist())
 
 
 def _audit(u: WeightFunction, rng, holds) -> bool:

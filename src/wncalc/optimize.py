@@ -34,9 +34,9 @@ STATUS_NO_FINITE = "no_finite"  # no refined candidate of the row is finite
 
 @dataclass(frozen=True)
 class BatchMinResult:
-    x: tuple[float, ...]
-    value: tuple[float, ...]
-    status: tuple[str, ...]
+    x: np.ndarray  # one element per row of the batch
+    value: np.ndarray
+    status: np.ndarray  # of str
     evaluations: int  # objective values computed, summed over the rows
 
 
@@ -109,7 +109,7 @@ def minimize_scalar(f, lo: float, hi: float, scan_values) -> BatchMinResult:
                       vals[:, 0] <= vals[:, 1], vals[:, -1] <= vals[:, -2]))
         n += len(vals)
     if not n:
-        return BatchMinResult(x=(), value=(), status=(), evaluations=0)
+        return BatchMinResult(np.empty(0), np.empty(0), np.empty(0, str), evaluations=0)
     rows, slots, cols, scanned, lower_end, upper_end = map(np.concatenate, zip(*found))
 
     a, b = xs[np.maximum(cols - 1, 0)], xs[np.minimum(cols + 1, COARSE - 1)]
@@ -131,5 +131,4 @@ def minimize_scalar(f, lo: float, hi: float, scan_values) -> BatchMinResult:
     upper = ~no_finite & ~lower & (hi - best_x < edge) & upper_end
     status = np.select([no_finite, lower, upper],
                        [STATUS_NO_FINITE, STATUS_LOWER_BOUNDARY, STATUS_UPPER_BOUNDARY], STATUS_OK)
-    return BatchMinResult(x=tuple(best_x.tolist()), value=tuple(best_v.tolist()),
-                          status=tuple(status.tolist()), evaluations=evals)
+    return BatchMinResult(x=best_x, value=best_v, status=status, evaluations=evals)

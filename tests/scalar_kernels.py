@@ -6,6 +6,11 @@ the ``power_exp`` closure, the ``_descend``-based Bell kernel, ``sqrt_log``
 through ``log_k``, ``custom_table``'s scalar ``np.interp`` and the u*
 evaluator ``_Pchip.__call__`` with ``_dual_log_eval``.  Each takes one
 Python float in (0, r_max] and returns a Python float.
+
+``char_fn`` and ``poisson_char`` are the characteristic functionals of
+``wncalc.measures`` at one argument xi, as they were before they took a
+(k, d) array, with the grey model's per-model memo of L_lam(t) dropped:
+it kept values, never changed one.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import bisect
 import math
 
 import numpy as np
+
+from wncalc import measures
 
 _LEVEL_DOWN_CAP = 700.0
 
@@ -104,3 +111,20 @@ def dual_log_eval(pchip: Pchip, r_lo: float, r: float) -> float:
     if x < pchip.knots[0]:
         return pchip(pchip.knots[0]) * (r / r_lo)
     return pchip(x)
+
+
+def poisson_char(xi, intensity: float) -> complex:
+    if intensity <= 0:
+        raise ValueError("intensity must be positive")
+    xi = np.asarray(xi, dtype=float)
+    return complex(np.exp(intensity * np.sum(np.exp(1j * xi) - 1.0)))
+
+
+def char_fn(model, xi):
+    xi = np.asarray(xi, dtype=float)
+    if model.kind == measures.KIND_GAUSSIAN:
+        return math.exp(-0.5 * float(np.sum(xi * xi)))
+    if model.kind == measures.KIND_GREY:
+        t = float(np.sum(xi * xi))
+        return measures.mittag_leffler(model.lam, t)
+    return poisson_char(xi, model.intensity)

@@ -69,6 +69,18 @@ class TestExitCodes:
         assert "the maximizer lies beyond the search limit r_max" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["integrability", "--model", "poisson", "--intensity", "0"],
+        ["positive-definite", "--model", "poisson", "--intensity", "nan"],
+        ["integrability", "--model", "poisson", "--intensity", "-1"],
+    ])
+    def test_bad_poisson_intensity_exits_one_with_one_line(self, capsys, argv):
+        # rejected with the model, before a sampler or a Gram matrix reads it
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Poisson intensity must be in (0, inf)\n"
+
     def test_tower_overflow_exits_one_with_one_line(self, capsys):
         assert run(["classify", "--family", "bell", "--order", "14"]) == 1
         captured = capsys.readouterr()

@@ -30,26 +30,26 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 SCALE_LOOPS = {"lattice"}
 
 
-def looped_log_evals(source: str) -> list[int]:
-    """Lines where a loop or comprehension calls ``.log_eval``.
+def looped_calls(source: str, name: str) -> list[int]:
+    """Lines where a loop or comprehension calls ``name``, as a method or a bare name.
 
-    ``WeightFunction.log_eval`` itself is left out: an in-range array goes
-    to its kernel in one call, and its array branch is the one place that
-    maps the scalar path over elements, for arrays holding r = 0, an r past
-    r_max or a non-float64 dtype.
+    A method of that name is left out of its own check: an in-range array
+    goes to the ``WeightFunction.log_eval`` kernel in one call, and its
+    array branch is the one place that maps the scalar path over elements,
+    for arrays holding r = 0, an r past r_max or a non-float64 dtype.
     """
     tree = ast.parse(source)
     own = set()
     for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "WeightFunction":
+        if isinstance(cls, ast.ClassDef):
             for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "log_eval":
+                if isinstance(fn, ast.FunctionDef) and fn.name == name:
                     own.update(map(id, ast.walk(fn)))
     loops = [n for n in ast.walk(tree) if isinstance(n, LOOPS)
              and not (isinstance(n, ast.For) and ast.unparse(n.iter) in SCALE_LOOPS)]
     return sorted({node.lineno for loop in loops for node in ast.walk(loop)
-                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                   and node.func.attr == "log_eval" and id(node) not in own})
+                   if isinstance(node, ast.Call) and id(node) not in own
+                   and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))})
 
 
 def test_modules_found():
@@ -82,14 +82,22 @@ def grid(u, rs, lattice):
         u.log_eval(a * rs)
         [u.log_eval(a * r) for r in rs]
     return u.log_eval(rs), list(u.log_eval(r) for r in rs)
+
+def gram(model, pts, char_fn):
+    model.char_fn(pts)
+    G = [[char_fn(a - b) for b in pts] for a in pts]
+    return G, [model.char_fn(xi) for xi in pts]
 """
-    assert looped_log_evals(source) == [8, 11, 12]
+    assert looped_calls(source, "log_eval") == [8, 11, 12]
+    assert looped_calls(source, "char_fn") == [16, 17]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
-def test_no_log_eval_loops(path):
-    # log_eval takes a 1-D array; a per-element loop outside it repeats its domain rule
-    assert looped_log_evals(path.read_text()) == []
+@pytest.mark.parametrize("name", ["log_eval", "char_fn"])
+def test_no_log_eval_loops(path, name):
+    # log_eval takes a 1-D array and char_fn a (k, d) array: a per-element loop
+    # outside them repeats log_eval's domain rule, or makes a Gram matrix m^2 calls
+    assert looped_calls(path.read_text(), name) == []
 
 
 MEMO_DECORATORS = {"lru_cache", "cache"}

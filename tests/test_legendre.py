@@ -111,7 +111,7 @@ class TestDualFunction:
     BELL2_RS = [1.3e-4, 0.31, 47.0, 3.9e4, 6.1e7]
 
     def test_bell_2_against_a_bisection_oracle(self):
-        got = [row.log_value for row in dual_function(bell_weight(2), self.BELL2_RS)]
+        got = dual_function(bell_weight(2), self.BELL2_RS).log_value.tolist()
         # the kernel's e^s - 1 in floats makes the error absolute where log u* < 1
         assert got == pytest.approx([bell2_log_dual(r) for r in self.BELL2_RS],
                                     rel=1e-14, abs=1e-14)
@@ -350,10 +350,10 @@ class TestBatchSolver:
         return rows, evaluations[0]
 
     @staticmethod
-    def assert_bit_equal(rows, refs):
-        assert [row.status for row in rows] == [ref.status for ref, _ in refs]
-        assert _bits([row.log_value for row in rows]) == _bits([ref.log_value for ref, _ in refs])
-        assert _bits([row.arg_r for row in rows]) == _bits([ref.arg_r for ref, _ in refs])
+    def assert_bit_equal(res, refs):
+        assert res.status.tolist() == [ref.status for ref, _ in refs]
+        assert _bits(res.log_value) == _bits([ref.log_value for ref, _ in refs])
+        assert _bits(res.arg_r) == _bits([ref.arg_r for ref, _ in refs])
 
     # u* of u* is u, whose maximizer passes r_max = 1e8 at the top of the grid
     @pytest.mark.parametrize("name", [name for name in WEIGHTS if not name.startswith("u*")])
@@ -427,15 +427,19 @@ class TestBatchSolver:
             points.append(y)
             return g(k, y)
 
+        want = []  # (x, value, status) of each row; no finite value leaves NaN and inf
         for k, row in enumerate(scans.tolist()):
             try:
                 ref = scalar_optimize.minimize_scalar(lambda y: counted(k, y), lo, hi, row)
             except ValueError:
-                assert got.status[k] == optimize.STATUS_NO_FINITE
-                continue
-            assert got.status[k] == ref.status
-            assert _bits([got.x[k], got.value[k]]) == _bits([ref.x, ref.value])
-        assert optimize.STATUS_NO_FINITE in got.status
+                want.append((math.nan, math.inf, optimize.STATUS_NO_FINITE))
+            else:
+                want.append((ref.x, ref.value, ref.status))
+        xs, values, statuses = zip(*want)
+        assert got.x.dtype == got.value.dtype == np.float64
+        assert _bits(got.x) == _bits(xs) and _bits(got.value) == _bits(values)
+        assert got.status.tolist() == list(statuses)
+        assert optimize.STATUS_NO_FINITE in statuses
         assert got.evaluations == len(points) == len(batch_points)
         assert sorted(batch_points) == sorted(points)
 
@@ -453,9 +457,18 @@ class TestBatchSolver:
         assert np.isinf(want).tolist() == [False] * 5 + [True] * 5
 
     def test_a_scalar_argument_is_a_batch_of_one(self):
+        # a scalar gives float and str fields; a 1-D argument, columns of its length
         u = power_exp(0.3)
-        assert legendre_transform(u, 2.0) == legendre_transform(u, [2.0])[0]
-        assert dual_function(u, 2.0) == dual_function(u, np.array([2.0]))[0]
+        for transform in (legendre_transform, dual_function):
+            one = transform(u, 2.0)
+            assert [type(v) for v in (one.log_value, one.arg_r, one.status)] == [float, float, str]
+            col = transform(u, [2.0])
+            assert _bits(col.log_value) + _bits(col.arg_r) == _bits([one.log_value, one.arg_r])
+            assert col.status.tolist() == [one.status]
+            for args in ([2.0], np.array([0.0, 2.0, 7.5]), np.array([])):
+                res = transform(u, args)
+                assert res.log_value.dtype == res.arg_r.dtype == np.float64
+                assert len(res.log_value) == len(res.arg_r) == len(res.status) == len(args)
 
     def test_the_first_failing_argument_raises(self):
         # u = 1 on (0, 0.5]: inf of 1/r^t sits at r_max for every t > 0, and

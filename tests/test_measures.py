@@ -1,16 +1,16 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
-from wncalc import cli, measures
+import scalar_kernels
+from wncalc import measures
 from wncalc.measures import (
     MeasureModel,
+    PositiveDefiniteReport,
     SamplerValidationError,
     check_positive_definite,
-    grey_char,
     integrability_check,
     ls_inclusion_check,
     mittag_leffler,
@@ -18,7 +18,21 @@ from wncalc.measures import (
     sample,
     validate_sampler,
 )
-from wncalc.weights import from_callable, power_exp, sqrt_log_weight
+from wncalc.weights import CONSISTENT, VIOLATED, from_callable, power_exp, sqrt_log_weight
+
+KINDS = [measures.KIND_GAUSSIAN, measures.KIND_GREY, measures.KIND_POISSON]
+
+
+def reference_gram_report(model, pts, tol: float = 1e-8) -> PositiveDefiniteReport:
+    """The Gram report of the frozen scalar functional, one entry at a time."""
+    m = len(pts)
+    G = np.empty((m, m), dtype=complex)
+    for j in range(m):
+        for k in range(m):
+            G[j, k] = scalar_kernels.char_fn(model, pts[j] - pts[k])
+    min_eig = float(np.linalg.eigvalsh(G).min())
+    return PositiveDefiniteReport(verdict=CONSISTENT if min_eig >= -tol else VIOLATED,
+                                  min_eigenvalue=min_eig, n_points=m, tol=tol)
 
 
 class TestMittagLeffler:
@@ -56,7 +70,7 @@ class TestMittagLeffler:
 class TestCharacteristicFunctionals:
     def test_grey_lambda_one_is_gaussian_with_doubled_variance(self):
         xi = np.array([0.3, -0.4])
-        assert grey_char(1.0, xi) == pytest.approx(
+        assert MeasureModel(kind="grey", d=2, lam=1.0).char_fn(xi[None])[0] == pytest.approx(
             math.exp(-float(np.sum(xi * xi))), rel=1e-12
         )
 
@@ -75,7 +89,7 @@ class TestCharacteristicFunctionals:
 
     def test_non_positive_definite_function_is_flagged(self):
         def fake_char(xi):
-            return 1.0 - float(np.sum(xi * xi))  # not a characteristic function
+            return 1.0 - np.sum(xi * xi, axis=1)  # not a characteristic function
 
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((8, 2)) * 2.0
@@ -91,9 +105,26 @@ class TestCharacteristicFunctionals:
         with pytest.raises(ValueError, match="^points must be finite$"):
             check_positive_definite(model.char_fn, pts)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [1, 2, 6, 8, 9, 20])  # d >= 8: numpy's unrolled pairwise sum
+    def test_char_fn_matches_the_scalar_kernel_bit_for_bit(self, kind, d):
+        model = MeasureModel(kind=kind, d=d, lam=0.6, intensity=1.7)
+        xi = np.random.default_rng(d).standard_normal((12, d)) / math.sqrt(d)
+        xi[3], xi[5], xi[7] = 0.0, -xi[2], xi[1]  # t = 0 and repeated values of t
+        got = model.char_fn(xi)
+        want = np.array([scalar_kernels.char_fn(model, row) for row in xi])
+        assert got.dtype == want.dtype and got.shape == (12,)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gram_report_equals_the_per_entry_gram(self, kind):
+        model = MeasureModel(kind=kind, d=6, lam=0.5, intensity=2.0)
+        pts = np.random.default_rng(4).standard_normal((9, 6)) / math.sqrt(6)
+        assert check_positive_definite(model.char_fn, pts) == reference_gram_report(model, pts)
+
 
 class TestGreyMemo:
-    """A grey model keeps L_lam(t) by t, and no two models share a value."""
+    """A grey Gram matrix sums L_lam once per distinct t = |xi_j - xi_k|^2."""
 
     @staticmethod
     def count_calls(monkeypatch) -> list:
@@ -109,34 +140,13 @@ class TestGreyMemo:
 
     def test_gram_check_sums_each_distinct_t_once(self, monkeypatch):
         pts = np.random.default_rng(0).standard_normal((8, 6)) / math.sqrt(6)
-        want = check_positive_definite(lambda xi: grey_char(0.5, xi), pts)
+        model = MeasureModel(kind="grey", d=6, lam=0.5)
+        want = reference_gram_report(model, pts)
         calls = self.count_calls(monkeypatch)
-        got = check_positive_definite(MeasureModel(kind="grey", d=6, lam=0.5).char_fn, pts)
+        got = check_positive_definite(model.char_fn, pts)
         # t = 0 on the diagonal and one t per pair j < k, against 64 Gram entries
         assert len(calls) == len(set(calls)) == 1 + 8 * 7 // 2
         assert got == want
-
-    def test_models_with_the_same_lambda_share_no_values(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
-        a, b = (MeasureModel(kind="grey", d=2, lam=0.5) for _ in range(2))
-        xi = np.array([0.3, -0.4])
-        assert a.char_fn(xi) == a.char_fn(-xi) == b.char_fn(xi)
-        assert len(calls) == 2
-        assert a._memo == b._memo and a._memo is not b._memo
-
-    def test_memo_stays_out_of_reports_and_digest(self, capsys):
-        m = MeasureModel(kind="grey", d=2, lam=0.5)
-        fields = cli._jsonable(m)
-        m.char_fn(np.array([0.3, -0.4]))
-        assert m._memo and cli._jsonable(m) == fields
-        # the sampler gate fills the memo of the model that the report describes
-        cli.run(["integrability", "--model", "grey", "--lambda", "0.5", "--dim", "2",
-                 "--samples", "8000", "--seed", "0"])
-        report = json.loads(capsys.readouterr().out)
-        assert report["results"]["measure"] == fields
-        weight_cfg = {"family": "power_exp", "params": {"beta": 0.0}, "r_max": None}
-        config = {"measure": fields, "weight_cfg": weight_cfg}
-        assert report["config_digest"] == cli._digest({"config": config, "seed": 0})
 
 
 class TestSamplers:
