@@ -29,7 +29,9 @@ ROLE_DISTRIBUTION = "distribution"
 
 HS_PARTIAL_TERMS = 1_000_000  # summed terms of the infinite HS series
 SAMPLE_SCALES = (0.5, 1.0, 2.0, 4.0)
-_BLOCK_BYTES = 1 << 20  # size of one gathered block of per-mode factors
+# bytes of one block: gathered per-mode factors, monomial-matrix rows, or the
+# coefficients of one chunk of a bound-check batch
+_BLOCK_BYTES = 1 << 20
 
 
 class ModelMismatchError(ValueError):
@@ -81,22 +83,31 @@ class FiniteGaussianModel:
     def __post_init__(self):
         if self.d < 1 or self.N < 0:
             raise ValueError("need d >= 1 and N >= 0")
-        lf = [log_factorial(n) for n in range(self.N + 1)]
-        rows, lm = [], []
-        for n in range(self.N + 1):
-            for combo in itertools.combinations_with_replacement(range(self.d), n):
-                m = [0] * self.d
-                for j in combo:
-                    m[j] += 1
-                rows.append(m)
-                lm.append(lf[n] - sum(lf[mj] for mj in m))
-        idx = np.array(rows, dtype=np.int64).reshape(len(rows), self.d)
+        lf = np.array([log_factorial(n) for n in range(self.N + 1)])
+        # degree by degree in the order of combinations_with_replacement: each
+        # multi-index of degree n - 1 (in order) gains one quantum in each mode
+        # from its highest occupied one (``top``) up
+        rows, top = np.zeros((1, self.d), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        blocks = [rows]
+        for _ in range(self.N):
+            reps = self.d - top
+            top = np.repeat(top - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+            rows = np.repeat(rows, reps, axis=0)
+            rows[np.arange(len(rows)), top] += 1
+            blocks.append(rows)
+        idx = np.concatenate(blocks)
+        degrees = idx.sum(axis=1)
+        # log n! - sum_j log m_j!, summed mode by mode as the scalar sum() did:
+        # np.sum(axis=1) sums pairwise from d = 8 on and changes bits
+        acc = np.zeros(len(idx))
+        for j in range(self.d):
+            acc = acc + lf[idx[:, j]]
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "degrees", idx.sum(axis=1))
-        object.__setattr__(self, "log_mult", np.array(lm))
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "log_mult", lf[degrees] - acc)
         object.__setattr__(self, "mult", np.exp(self.log_mult))
         object.__setattr__(self, "log_eigen_products", idx @ np.log(self.eigenvalues))
-        object.__setattr__(self, "log_factorials", np.array(lf))
+        object.__setattr__(self, "log_factorials", lf)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -156,11 +167,20 @@ def mode_norm(phi: ChaosVector, n: int, p: float) -> float:
     return math.sqrt(float(np.sum(np.exp(w) * np.abs(phi.coeffs[mask]) ** 2)))
 
 
+def _norm_weights(model: FiniteGaussianModel, log_ell: np.ndarray, p: float) -> np.ndarray:
+    """The weight of |f_m|^2 in sum_n |f_n|_p^2 / ell(n), per multi-index m."""
+    return np.exp(model.log_mult + model.mode_log_weights(p) - log_ell[model.degrees])
+
+
+def _weighted_norms(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(sum_m weights_m |c_m|^2)^(1/2) of one coefficient vector or of each row of a
+    (V, K) block: both sum along the last axis, so a row gets one vector's bits."""
+    return np.sqrt(np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
+
+
 def weighted_norm(phi: ChaosVector, log_ell: np.ndarray, p: float) -> float:
     """(sum_n |f_n|_p^2 / ell(n))^(1/2) for an explicit log ell sequence."""
-    model = phi.model
-    w = model.log_mult + model.mode_log_weights(p) - log_ell[model.degrees]
-    return math.sqrt(float(np.sum(np.exp(w) * np.abs(phi.coeffs) ** 2)))
+    return float(_weighted_norms(_norm_weights(phi.model, log_ell, p), phi.coeffs))
 
 
 def test_norm(phi: ChaosVector, u: WeightFunction, p: float) -> float:
@@ -228,6 +248,7 @@ def _monomials(model: FiniteGaussianModel, xis: np.ndarray) -> np.ndarray:
     Repeated transforms of many vectors against one probe sample dominate
     the bound-check suites, so the model keeps the matrix of the last
     sample it saw: 16 MB at d = 6, N = 10 and 128 probes, no (S, K, d) array.
+    ``s_transform_many`` reads it in row blocks of about ``_BLOCK_BYTES``.
     """
     xis = np.atleast_2d(np.asarray(xis, dtype=complex))
     key = (xis.shape, xis.tobytes())
@@ -243,9 +264,31 @@ def s_transform(Phi: ChaosVector, xi) -> complex:
     return complex(s_transform_many(Phi, np.asarray(xi, dtype=complex)[None, :])[0])
 
 
-def s_transform_many(Phi: ChaosVector, xis: np.ndarray) -> np.ndarray:
-    V = _monomials(Phi.model, xis)
-    return V @ (Phi.model.mult * Phi.coeffs)
+def s_transform_many(Phi, xis: np.ndarray) -> np.ndarray:
+    """S Phi at each sample row: (S,) for one vector, (V, S) for a sequence of V
+    vectors over one model.
+
+    The monomial matrix is walked in row blocks of about ``_BLOCK_BYTES``, and
+    each block is multiplied by every vector with its own GEMV while it stays
+    in cache.  A block of two or more rows gives the bits of the whole-matrix
+    GEMV; a one-row block goes to ``dot`` and does not, so a one-row remainder
+    joins the block before it (a one-row sample is one block).  A GEMM over
+    all vectors at once would be faster but changes the bits.
+    """
+    single = isinstance(Phi, ChaosVector)
+    vecs = [Phi] if single else list(Phi)
+    model = vecs[0].model
+    V = _monomials(model, xis)
+    X = model.mult * np.array([v.coeffs for v in vecs])
+    S = len(V)
+    step = max(2, _BLOCK_BYTES // (V.shape[1] * V.itemsize))
+    bounds = [*range(0, max(S - 1, 1), step), S]
+    out = np.empty((len(X), S), dtype=complex)
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = V[lo:hi]
+        for row, x in zip(out, X):
+            row[lo:hi] = block @ x
+    return out[0] if single else out
 
 
 def t_transform(Phi: ChaosVector, xi) -> complex:
@@ -314,55 +357,77 @@ class BoundCheckReport:
 _BOUND_TOL = 1e-9
 
 
-def _fit_K(vec: ChaosVector, w: WeightFunction, a: float, level: float,
-           sample: np.ndarray) -> float:
-    """max over the sample of |S(xi)| w(a |xi|^2_level)^(-1/2)."""
-    xis = np.atleast_2d(np.asarray(sample, dtype=complex))
-    model = vec.model
-    weights = model.eigenvalues ** (2.0 * level)
-    norms2 = (np.abs(xis) ** 2) @ weights
-    vals = np.abs(s_transform_many(vec, xis))
-    logw = w.log_eval(a * norms2)
-    return float(np.max(vals * np.exp(-0.5 * logw)))
-
-
-def _check_bound(vec: ChaosVector, u: WeightFunction, a: float, p: float, q: float,
-                 sample: np.ndarray, dual: bool) -> BoundCheckReport:
+def _check_bound(vecs, u: WeightFunction, a: float, p: float, q: float,
+                 sample: np.ndarray, dual: bool):
     """Fit K from |S vec| <= K w(a|xi|^2_level)^(1/2) and check sum_n |f_n|_order^2 /
-    ell_w(n) <= K^2 (1 - a e^2 ||i||_HS^2)^(-1), with w = u, or w = u* under ``dual``."""
-    hs = hs_norm_inclusion(max(p, q), min(p, q), d=vec.model.d)
+    ell_w(n) <= K^2 (1 - a e^2 ||i||_HS^2)^(-1), with w = u, or w = u* under ``dual``.
+
+    ``vecs`` is one vector, which gets one report, or an iterable of vectors over
+    one model and role, which gets a list.  The premise, u*, the probe weights and
+    the ell weights are worked out once; the vectors are then read in chunks of
+    at most ``_BLOCK_BYTES`` of coefficients, so a generator is never held whole.
+    """
+    role, name = ((ROLE_DISTRIBUTION, "check_dist_bound") if dual
+                  else (ROLE_TEST, "check_test_bound"))
+    single = isinstance(vecs, ChaosVector)
+    it = iter([vecs] if single else vecs)
+    first = next(it, None)
+    if first is None:
+        return []
+    model = first.model
+
+    def admit(vec):
+        if vec.role != role:
+            raise ValueError(f"{name} expects a {role}-role vector")
+        if vec.model != model:
+            raise ModelMismatchError("vectors built over different models")
+        return vec
+
+    admit(first)
+    hs = hs_norm_inclusion(max(p, q), min(p, q), d=model.d)
     contraction = a * math.e**2 * hs
     if contraction >= 1.0:
         raise PremiseError(f"a e^2 ||i||_HS^2 = {contraction} >= 1")
     # u* only once the premise holds: a failed premise builds nothing
     w, level, order = (dual_of(u), p, -q) if dual else (u, -p, q)
-    K = _fit_K(vec, w, a, level, sample)
-    lhs = weighted_norm(vec, log_ell_sequence(w, vec.model.N), order) ** 2
-    rhs = K**2 / (1.0 - contraction)
-    verdict = CONSISTENT if lhs <= rhs * (1.0 + _BOUND_TOL) else VIOLATED
-    return BoundCheckReport(verdict=verdict, fitted_K=K, a=a, p=p, q=q,
-                            lhs=lhs, rhs=rhs, hs=hs)
+    xis = np.atleast_2d(np.asarray(sample, dtype=complex))
+    norms2 = (np.abs(xis) ** 2) @ (model.eigenvalues ** (2.0 * level))
+    probe_weights = np.exp(-0.5 * w.log_eval(a * norms2))
+    ell_weights = _norm_weights(model, log_ell_sequence(w, model.N), order)
+    step = max(1, _BLOCK_BYTES // first.coeffs.nbytes)
+    it = itertools.chain([first], it)
+    reports = []
+    while chunk := list(map(admit, itertools.islice(it, step))):
+        Ks = np.max(np.abs(s_transform_many(chunk, xis)) * probe_weights, axis=-1)
+        norms = _weighted_norms(ell_weights, np.array([v.coeffs for v in chunk]))
+        for K, norm in zip(Ks.tolist(), norms.tolist()):
+            lhs = norm**2
+            rhs = K**2 / (1.0 - contraction)
+            verdict = CONSISTENT if lhs <= rhs * (1.0 + _BOUND_TOL) else VIOLATED
+            reports.append(BoundCheckReport(verdict=verdict, fitted_K=K, a=a, p=p, q=q,
+                                            lhs=lhs, rhs=rhs, hs=hs))
+    return reports[0] if single else reports
 
 
-def check_test_bound(phi: ChaosVector, u: WeightFunction, a: float, p: float,
-                     q: float, sample: np.ndarray) -> BoundCheckReport:
+def check_test_bound(phi, u: WeightFunction, a: float, p: float, q: float,
+                     sample: np.ndarray):
     """Growth bound for test functions: fit K from |S phi| <= K u(a|xi|^2_{-p})^(1/2)
-    and check ||phi||_{u,q}^2 <= K^2 (1 - a e^2 ||i_{p,q}||_HS^2)^(-1), q < p."""
+    and check ||phi||_{u,q}^2 <= K^2 (1 - a e^2 ||i_{p,q}||_HS^2)^(-1), q < p.
+
+    One vector gets one report; an iterable of vectors over one model gets a list."""
     if not q < p:
         raise ValueError("test-side check needs q < p")
-    if phi.role != ROLE_TEST:
-        raise ValueError("check_test_bound expects a test-role vector")
     return _check_bound(phi, u, a, p, q, sample, dual=False)
 
 
-def check_dist_bound(Phi: ChaosVector, u: WeightFunction, a: float, p: float,
-                     q: float, sample: np.ndarray) -> BoundCheckReport:
+def check_dist_bound(Phi, u: WeightFunction, a: float, p: float, q: float,
+                     sample: np.ndarray):
     """Dual growth bound: fit K from |S Phi| <= K u*(a|xi|^2_p)^(1/2) and check
-    ||Phi||_{u*,-q}^2 <= K^2 (1 - a e^2 ||i_{q,p}||_HS^2)^(-1), q > p."""
+    ||Phi||_{u*,-q}^2 <= K^2 (1 - a e^2 ||i_{q,p}||_HS^2)^(-1), q > p.
+
+    One vector gets one report; an iterable of vectors over one model gets a list."""
     if not q > p:
         raise ValueError("distribution-side check needs q > p")
-    if Phi.role != ROLE_DISTRIBUTION:
-        raise ValueError("check_dist_bound expects a distribution-role vector")
     return _check_bound(Phi, u, a, p, q, sample, dual=True)
 
 

@@ -173,17 +173,17 @@ def _cmd_chaos_bounds(args, seed):
     model = chaos.FiniteGaussianModel(d=args.dim, N=args.degree)
     rng = np.random.default_rng(seed)
     sample = chaos.gaussian_sample(rng, args.sample_per_scale, args.dim)
-    reports = {"test": [], "distribution": []}
-    for _ in range(args.vectors):
-        phi = _random_vector(model, rng, chaos.ROLE_TEST)
-        reports["test"].append(_jsonable(
-            chaos.check_test_bound(phi, u, args.a, p=args.p, q=args.q, sample=sample)
-        ))
-    for _ in range(args.vectors):
-        Phi = _random_vector(model, rng, chaos.ROLE_DISTRIBUTION)
-        reports["distribution"].append(_jsonable(
-            chaos.check_dist_bound(Phi, u, args.a, p=args.q, q=args.p, sample=sample)
-        ))
+    # the test-side draws are used up before the distribution side draws its own
+    def draws(role):
+        return (_random_vector(model, rng, role) for _ in range(args.vectors))
+
+    reports = {
+        "test": _jsonable(chaos.check_test_bound(draws(chaos.ROLE_TEST), u, args.a,
+                                                 p=args.p, q=args.q, sample=sample)),
+        "distribution": _jsonable(chaos.check_dist_bound(draws(chaos.ROLE_DISTRIBUTION), u,
+                                                         args.a, p=args.q, q=args.p,
+                                                         sample=sample)),
+    }
     return {"weight": _jsonable(u), "model": {"d": args.dim, "N": args.degree},
             "reports": reports}, cfg
 
@@ -250,15 +250,15 @@ def _cmd_verify_all(args, seed):
     model = chaos.FiniteGaussianModel(d=4, N=6)
     rng = np.random.default_rng(seed)
     sample = chaos.gaussian_sample(rng, 16, 4)
-    tb, db = [], []
-    for _ in range(5):
-        phi = _random_vector(model, rng, chaos.ROLE_TEST)
-        tb.append(_jsonable(chaos.check_test_bound(phi, v0, 0.1, p=2, q=0,
-                                                   sample=sample)))
-        Phi = _random_vector(model, rng, chaos.ROLE_DISTRIBUTION)
-        db.append(_jsonable(chaos.check_dist_bound(Phi, v0, 0.1, p=0, q=2,
-                                                   sample=sample)))
-    results["chaos_bounds"] = {"test": tb, "distribution": db}
+    # drawn in (phi, Phi) pairs, then checked one side at a time
+    phis, Phis = zip(*[(_random_vector(model, rng, chaos.ROLE_TEST),
+                        _random_vector(model, rng, chaos.ROLE_DISTRIBUTION))
+                       for _ in range(5)])
+    results["chaos_bounds"] = {
+        "test": _jsonable(chaos.check_test_bound(phis, v0, 0.1, p=2, q=0, sample=sample)),
+        "distribution": _jsonable(chaos.check_dist_bound(Phis, v0, 0.1, p=0, q=2,
+                                                         sample=sample)),
+    }
 
     grey = measures.MeasureModel(kind=measures.KIND_GREY, d=6, lam=0.5,
                                  sampler_seed=seed)

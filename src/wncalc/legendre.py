@@ -70,6 +70,15 @@ class TransformResult:  # floats and a str at a scalar argument, columns at a 1-
     arg_r: float | np.ndarray
     status: str | np.ndarray
 
+    def __eq__(self, other):
+        # field by field: the generated tuple comparison would ask for the truth
+        # value of an element-wise comparison of two columns
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(
+            (self.log_value, self.arg_r, self.status),
+            (other.log_value, other.arg_r, other.status)))
+
 
 def _safe_log_eval(u: WeightFunction, r):
     """log u(r) at a float or a 1-D array, with an overflow of log u read as +inf:

@@ -276,9 +276,10 @@ def validate_sampler(model: MeasureModel, n: int = 100_000) -> dict:
             raise SamplerValidationError(
                 f"{model.kind} sampler: {bad} of {n} draws are not finite"
             )
-        emp_re, emp_im = float(np.mean(np.cos(w))), float(np.mean(np.sin(w)))
-        se_re = float(np.std(np.cos(w)) / math.sqrt(n)) or 1e-300
-        se_im = float(np.std(np.sin(w)) / math.sqrt(n)) or 1e-300
+        cos_w, sin_w = np.cos(w), np.sin(w)
+        emp_re, emp_im = float(np.mean(cos_w)), float(np.mean(sin_w))
+        se_re = float(np.std(cos_w) / math.sqrt(n)) or 1e-300
+        se_im = float(np.std(sin_w) / math.sqrt(n)) or 1e-300
         z = max(abs(emp_re - np.real(exact)) / se_re,
                 abs(emp_im - np.imag(exact)) / se_im)
         worst = max(worst, z)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss, hermeval
 
+import bound_oracle
 import mode_products_oracle as oracle
 from wncalc import chaos
 from wncalc.chaos import (
@@ -58,6 +59,17 @@ class TestModel:
             for n, m in zip(model.degrees, model.indices)
         ]
         assert model.log_mult.tolist() == want
+
+    # at (8, 10) a pairwise sum of the log m_j! would change 86 multiplicities
+    @pytest.mark.parametrize("d, N", [(6, 10), (4, 6), (9, 4), (1, 12), (20, 3), (3, 0),
+                                      (8, 10)])
+    def test_build_matches_the_per_multi_index_loop(self, d, N):
+        model = FiniteGaussianModel(d=d, N=N)
+        indices, log_mult = bound_oracle.model_arrays(d, N)
+        assert model.indices.dtype == indices.dtype
+        assert model.indices.shape == indices.shape
+        assert np.array_equal(model.indices, indices)
+        assert same_bits(model.log_mult, log_mult)
 
     def test_index_lookup(self, model):
         i = model.index_of((1, 2, 0))
@@ -307,6 +319,124 @@ class TestBounds:
             Phi = random_vector(model, rng, chaos.ROLE_DISTRIBUTION)
             rep = check_dist_bound(Phi, u, a=0.1, p=0.0, q=2.0, sample=sample)
             assert rep.verdict == "consistent"
+
+
+def suite_sample(rng, rows, d):
+    """``rows`` probes: stratified when they split into the four scales, plain otherwise."""
+    if rows % 4 == 0:
+        return gaussian_sample(rng, rows // 4, d)
+    return rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+
+
+def report_bits(rep):
+    floats = [rep.fitted_K, rep.a, rep.p, rep.q, rep.lhs, rep.rhs, rep.hs]
+    return rep.verdict, np.array(floats, dtype=float).view(np.uint64).tolist()
+
+
+class TestBatchedBounds:
+    """A batch of vectors gets the reports of the frozen one-vector-at-a-time
+    path (``bound_oracle``), bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def u(self):
+        return power_exp(0.0)
+
+    # K = 8 008 at (6, 10): 8 vectors per chunk and 8 probe rows per block, so 20
+    # vectors end on a short chunk and 9 or 17 probes on a one-row remainder
+    @pytest.mark.parametrize("d, N, probes, vectors", [
+        (6, 10, 128, 20), (4, 6, 64, 5), (9, 4, 36, 13), (1, 12, 4, 1),
+        (6, 10, 9, 11), (6, 10, 17, 3),
+    ])
+    def test_batch_matches_the_per_vector_oracle(self, u, d, N, probes, vectors):
+        model = FiniteGaussianModel(d=d, N=N)
+        rng = np.random.default_rng(1000 * d + N)
+        sample = suite_sample(rng, probes, d)
+        phis = [random_vector(model, rng) for _ in range(vectors)]
+        Phis = [random_vector(model, rng, chaos.ROLE_DISTRIBUTION) for _ in range(vectors)]
+        got = check_test_bound(iter(phis), u, a=0.1, p=2.0, q=0.0, sample=sample)
+        want = [bound_oracle._check_bound(phi, u, 0.1, 2.0, 0.0, sample, dual=False)
+                for phi in phis]
+        assert list(map(report_bits, got)) == list(map(report_bits, want))
+        got = check_dist_bound(iter(Phis), u, a=0.1, p=0.0, q=2.0, sample=sample)
+        want = [bound_oracle._check_bound(Phi, u, 0.1, 0.0, 2.0, sample, dual=True)
+                for Phi in Phis]
+        assert list(map(report_bits, got)) == list(map(report_bits, want))
+        one = check_test_bound(phis[-1], u, a=0.1, p=2.0, q=0.0, sample=sample)
+        assert isinstance(one, chaos.BoundCheckReport)
+        assert report_bits(one) == report_bits(
+            bound_oracle._check_bound(phis[-1], u, 0.1, 2.0, 0.0, sample, dual=False))
+
+    @pytest.mark.parametrize("d, N, probes, vectors", [(6, 10, 17, 10), (4, 6, 1, 3)])
+    def test_transforms_and_norms_match_the_oracle(self, d, N, probes, vectors):
+        model = FiniteGaussianModel(d=d, N=N)
+        rng = np.random.default_rng(probes)
+        xis = suite_sample(rng, probes, d)
+        vecs = [random_vector(model, rng) for _ in range(vectors)]
+        block = s_transform_many(vecs, xis)
+        assert block.shape == (vectors, probes)
+        log_ell = chaos.log_ell_sequence(power_exp(0.5), N)
+        for vec, row in zip(vecs, block):
+            want = bound_oracle.s_transform_many(vec, xis)
+            assert same_bits(row, want)
+            assert same_bits(s_transform_many(vec, xis), want)
+            assert (weighted_norm(vec, log_ell, 1.5).hex()
+                    == bound_oracle.weighted_norm(vec, log_ell, 1.5).hex())
+
+    @pytest.mark.parametrize("K", [2, 715, 8008])
+    def test_gemv_row_blocks_match_the_whole_matrix(self, K):
+        # the fact the row blocks of s_transform_many rest on: any block of two
+        # or more rows gets the bits of the same rows of one whole-matrix GEMV
+        rng = np.random.default_rng(K)
+        for S in (2, 9, 17, 40):
+            V = rng.standard_normal((S, K)) + 1j * rng.standard_normal((S, K))
+            X = rng.standard_normal((2, K)) + 1j * rng.standard_normal((2, K))
+            for x in X:
+                whole = V @ x
+                for rows in range(2, S + 1):
+                    for lo in range(0, S - 1, rows):
+                        hi = min(lo + rows, S)
+                        if hi - lo >= 2:
+                            assert same_bits(V[lo:hi] @ x, whole[lo:hi]), (S, lo, hi)
+
+    def test_suite_memory_stays_chunked(self):
+        model = FiniteGaussianModel(d=6, N=10)
+        rng = np.random.default_rng(12)
+        sample = gaussian_sample(rng, 32, 6)
+        u = power_exp(0.0)
+
+        def draws(role):
+            return (random_vector(model, rng, role) for _ in range(100))
+
+        tracemalloc.start()
+        try:
+            tests = check_test_bound(draws(chaos.ROLE_TEST), u, a=0.1, p=2.0, q=0.0,
+                                     sample=sample)
+            dists = check_dist_bound(draws(chaos.ROLE_DISTRIBUTION), u, a=0.1, p=0.0,
+                                     q=2.0, sample=sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tests) == len(dists) == 100
+        assert peak < 2 * chaos._monomials(model, sample).nbytes
+
+    def test_empty_batch_builds_nothing(self, model):
+        u = power_exp(0.0)
+        sample = gaussian_sample(np.random.default_rng(3), 2, 3)
+        # the premise fails, but no vector means no check
+        assert check_dist_bound(iter([]), u, a=2.0, p=0.0, q=2.0, sample=sample) == []
+        assert "dual" not in u._memo
+
+    def test_batch_rejects_a_wrong_role_or_model(self, model):
+        rng = np.random.default_rng(4)
+        sample = gaussian_sample(rng, 2, 3)
+        phi = random_vector(model, rng)
+        with pytest.raises(ValueError, match="expects a test-role vector"):
+            check_test_bound([phi, phi.as_distribution()], power_exp(0.0), a=0.1, p=2.0,
+                             q=0.0, sample=sample)
+        other = random_vector(FiniteGaussianModel(d=3, N=5), rng)
+        with pytest.raises(chaos.ModelMismatchError):
+            check_test_bound([phi, other], power_exp(0.0), a=0.1, p=2.0, q=0.0,
+                             sample=sample)
 
 
 class TestObjectMemos:

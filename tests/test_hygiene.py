@@ -93,10 +93,11 @@ def gram(model, pts, char_fn):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
-@pytest.mark.parametrize("name", ["log_eval", "char_fn"])
+@pytest.mark.parametrize("name", ["log_eval", "char_fn", "check_test_bound", "check_dist_bound"])
 def test_no_log_eval_loops(path, name):
-    # log_eval takes a 1-D array and char_fn a (k, d) array: a per-element loop
-    # outside them repeats log_eval's domain rule, or makes a Gram matrix m^2 calls
+    # log_eval takes a 1-D array, char_fn a (k, d) array and a bound check a batch
+    # of vectors: a per-element loop outside them repeats log_eval's domain rule,
+    # makes a Gram matrix m^2 calls, or redoes a bound check's per-side work
     assert looped_calls(path.read_text(), name) == []
 
 

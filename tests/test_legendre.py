@@ -470,6 +470,18 @@ class TestBatchSolver:
                 assert res.log_value.dtype == res.arg_r.dtype == np.float64
                 assert len(res.log_value) == len(res.arg_r) == len(res.status) == len(args)
 
+    def test_results_compare_equal_as_scalars_and_as_columns(self):
+        u = power_exp(0.3)
+        for transform in (legendre_transform, dual_function):
+            assert transform(u, 2.0) == transform(u, 2.0)
+            assert transform(u, 2.0) != transform(u, 3.0)
+            col = transform(u, [1.0, 2.0])
+            same = col == transform(u, np.array([1.0, 2.0]))
+            assert type(same) is bool and same
+            assert col != transform(u, [1.0, 3.0])
+            assert col != transform(u, [1.0])
+            assert transform(u, [2.0]) != transform(u, 2.0)
+
     def test_the_first_failing_argument_raises(self):
         # u = 1 on (0, 0.5]: inf of 1/r^t sits at r_max for every t > 0, and
         # at t = inf every objective value is infinite
