@@ -29,7 +29,7 @@ ROLE_DISTRIBUTION = "distribution"
 
 HS_PARTIAL_TERMS = 1_000_000  # summed terms of the infinite HS series
 SAMPLE_SCALES = (0.5, 1.0, 2.0, 4.0)
-# bytes of one block: gathered per-mode factors, monomial-matrix rows, or the
+# bytes of one block: rows of a mode-product or monomial matrix, or the
 # coefficients of one chunk of a bound-check batch
 _BLOCK_BYTES = 1 << 20
 
@@ -78,6 +78,8 @@ class FiniteGaussianModel:
     log_eigen_products: np.ndarray = field(init=False, repr=False, compare=False)
     # log n! for n = 0..N, looked up by degree
     log_factorials: np.ndarray = field(init=False, repr=False, compare=False)
+    # (parent prefix, column m_j) per mode j, see _mode_products
+    prefix_plan: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -108,6 +110,14 @@ class FiniteGaussianModel:
         object.__setattr__(self, "mult", np.exp(self.log_mult))
         object.__setattr__(self, "log_eigen_products", idx @ np.log(self.eigenvalues))
         object.__setattr__(self, "log_factorials", lf)
+        # ids numbers the distinct prefixes (m_0..m_{j-1}), from the one empty
+        # prefix; ids < K, so ids * (N+1) + m_j cannot overflow at any d
+        ids, plan = np.zeros(len(idx), dtype=np.int64), []
+        for j in range(self.d - 1):
+            codes, ids = np.unique(ids * (self.N + 1) + idx[:, j], return_inverse=True)
+            plan.append(divmod(codes, self.N + 1))
+        plan.append((ids, idx[:, -1]))
+        object.__setattr__(self, "prefix_plan", tuple(plan))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -214,21 +224,48 @@ def pairing(Phi: ChaosVector, phi: ChaosVector) -> complex:
 # coherent states and transforms
 
 
+def _times(a, b):
+    """a * b elementwise for real ``(x,)`` or complex ``(re, im)`` planes.
+
+    The complex product is Python's, (ar*br - ai*bi, ar*bi + ai*br): numpy's
+    contiguous complex ``*`` is a SIMD loop whose bits differ."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
+    (ar, ai), (br, bi) = a, b
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    return re, im
+
+
 def _mode_products(model: FiniteGaussianModel, table: np.ndarray) -> np.ndarray:
     """prod_j table[s, j, m_j] per row s and multi-index m from (S, d, N+1) factors.
 
-    A block of rows gathered C-contiguous as (rows, K, d) has its d factors
-    multiplied in order; a transposed block gets numpy's SIMD complex multiply.
+    The products go mode by mode over shared prefixes (``model.prefix_plan``):
+    mode j multiplies the product of each distinct (m_0..m_{j-1}) by its
+    factor, from 1 and left to right as ``np.prod`` does, and the last mode
+    gives the multi-indices in model order.  At d = 6, N = 10 that is 12 364
+    products per row, not 40 040.  A complex table is multiplied on its real
+    and imaginary planes (``_times``).  Rows go in blocks of a quarter of
+    ``_BLOCK_BYTES`` per (rows, K) float64 plane: the last mode holds several
+    such planes at once.
     """
     S, width = table.shape[:2]
     if width != model.d:
         raise ValueError(f"sample rows must have {model.d} entries, got {width}")
-    flat = model.indices + (model.N + 1) * np.arange(model.d)
-    rows = table.reshape(S, -1)
     out = np.empty((S, model.n_coeffs), dtype=table.dtype)
-    step = max(1, _BLOCK_BYTES // (flat.size * table.itemsize))
+    planes, dests = (((table.real, table.imag), (out.real, out.imag))
+                     if np.iscomplexobj(table) else ((table,), (out,)))
+    step = max(1, _BLOCK_BYTES // (4 * model.n_coeffs * 8))
     for lo in range(0, S, step):
-        out[lo:lo + step] = np.prod(np.take(rows[lo:lo + step], flat, axis=1), axis=2)
+        rows = [x[lo:lo + step] for x in planes]
+        P = [np.ones((len(rows[0]), 1)), np.zeros((len(rows[0]), 1))][:len(planes)]
+        for j, (parent, col) in enumerate(model.prefix_plan):
+            P = _times([np.take(p, parent, axis=1) for p in P],
+                       [np.take(x[:, j], col, axis=1) for x in rows])
+        for dest, p in zip(dests, P):
+            dest[lo:lo + step] = p
     return out
 
 
@@ -242,15 +279,24 @@ def coherent_state(model: FiniteGaussianModel, xi, role: str = ROLE_TEST) -> Cha
     return ChaosVector(model=model, coeffs=c, role=role)
 
 
+def _probes(sample) -> np.ndarray:
+    """The probe sample as (S, d) complex rows; an empty sample is refused."""
+    xis = np.atleast_2d(np.asarray(sample, dtype=complex))
+    if len(xis) == 0:
+        raise ValueError("the probe sample has no rows")
+    return xis
+
+
 def _monomials(model: FiniteGaussianModel, xis: np.ndarray) -> np.ndarray:
     """xi^m for each sample row and multi-index: (S, K) complex.
 
+    ``_mode_products`` builds it from the (S, d, N+1) table of powers xi_j^k.
     Repeated transforms of many vectors against one probe sample dominate
     the bound-check suites, so the model keeps the matrix of the last
-    sample it saw: 16 MB at d = 6, N = 10 and 128 probes, no (S, K, d) array.
+    sample it saw: 16 MB at d = 6, N = 10 and 128 probes.
     ``s_transform_many`` reads it in row blocks of about ``_BLOCK_BYTES``.
     """
-    xis = np.atleast_2d(np.asarray(xis, dtype=complex))
+    xis = _probes(xis)
     key = (xis.shape, xis.tobytes())
     hit = model._memo.get("monomials")
     if hit is None or hit[0] != key:
@@ -273,13 +319,14 @@ def s_transform_many(Phi, xis: np.ndarray) -> np.ndarray:
     in cache.  A block of two or more rows gives the bits of the whole-matrix
     GEMV; a one-row block goes to ``dot`` and does not, so a one-row remainder
     joins the block before it (a one-row sample is one block).  A GEMM over
-    all vectors at once would be faster but changes the bits.
+    all vectors at once would be faster but changes the bits.  Each vector is
+    weighted on its own, so a batch is never stacked here.
     """
     single = isinstance(Phi, ChaosVector)
     vecs = [Phi] if single else list(Phi)
     model = vecs[0].model
     V = _monomials(model, xis)
-    X = model.mult * np.array([v.coeffs for v in vecs])
+    X = [model.mult * v.coeffs for v in vecs]
     S = len(V)
     step = max(2, _BLOCK_BYTES // (V.shape[1] * V.itemsize))
     bounds = [*range(0, max(S - 1, 1), step), S]
@@ -369,6 +416,9 @@ def _check_bound(vecs, u: WeightFunction, a: float, p: float, q: float,
     """
     role, name = ((ROLE_DISTRIBUTION, "check_dist_bound") if dual
                   else (ROLE_TEST, "check_test_bound"))
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"{name} needs a finite a >= 0, got {a}")
+    xis = _probes(sample)
     single = isinstance(vecs, ChaosVector)
     it = iter([vecs] if single else vecs)
     first = next(it, None)
@@ -386,11 +436,10 @@ def _check_bound(vecs, u: WeightFunction, a: float, p: float, q: float,
     admit(first)
     hs = hs_norm_inclusion(max(p, q), min(p, q), d=model.d)
     contraction = a * math.e**2 * hs
-    if contraction >= 1.0:
+    if not contraction < 1.0:
         raise PremiseError(f"a e^2 ||i||_HS^2 = {contraction} >= 1")
     # u* only once the premise holds: a failed premise builds nothing
     w, level, order = (dual_of(u), p, -q) if dual else (u, -p, q)
-    xis = np.atleast_2d(np.asarray(sample, dtype=complex))
     norms2 = (np.abs(xis) ** 2) @ (model.eigenvalues ** (2.0 * level))
     probe_weights = np.exp(-0.5 * w.log_eval(a * norms2))
     ell_weights = _norm_weights(model, log_ell_sequence(w, model.N), order)

@@ -161,21 +161,32 @@ def _cmd_weights_admissible(args, seed):
     }, cfg
 
 
-def _random_vector(model, rng, role):
-    c = rng.standard_normal(model.n_coeffs) + 1j * rng.standard_normal(model.n_coeffs)
-    # damp high degrees so norms stay in floating range
-    c *= np.exp(-model.log_factorials[model.degrees])
+def _damping(model):
+    """1/n! per multi-index of degree n: damps high degrees so norms stay in range."""
+    return np.exp(-model.log_factorials[model.degrees])
+
+
+def _random_vector(model, rng, role, damp):
+    """(a + 1j*b) * damp for two standard-normal draws a, b of K entries each,
+    taken as one (2, K) draw and multiplied plane by plane, with the same bits."""
+    g = rng.standard_normal((2, model.n_coeffs))
+    c = np.empty(model.n_coeffs, dtype=complex)
+    c.real = g[0] * damp
+    c.imag = g[1] * damp
     return chaos.ChaosVector(model=model, coeffs=c, role=role)
 
 
 def _cmd_chaos_bounds(args, seed):
+    if args.vectors < 0:
+        raise ValueError(f"--vectors must be >= 0, got {args.vectors}")
     u, cfg = _weight_from_args(args)
     model = chaos.FiniteGaussianModel(d=args.dim, N=args.degree)
     rng = np.random.default_rng(seed)
     sample = chaos.gaussian_sample(rng, args.sample_per_scale, args.dim)
+    damp = _damping(model)
     # the test-side draws are used up before the distribution side draws its own
     def draws(role):
-        return (_random_vector(model, rng, role) for _ in range(args.vectors))
+        return (_random_vector(model, rng, role, damp) for _ in range(args.vectors))
 
     reports = {
         "test": _jsonable(chaos.check_test_bound(draws(chaos.ROLE_TEST), u, args.a,
@@ -250,9 +261,10 @@ def _cmd_verify_all(args, seed):
     model = chaos.FiniteGaussianModel(d=4, N=6)
     rng = np.random.default_rng(seed)
     sample = chaos.gaussian_sample(rng, 16, 4)
+    damp = _damping(model)
     # drawn in (phi, Phi) pairs, then checked one side at a time
-    phis, Phis = zip(*[(_random_vector(model, rng, chaos.ROLE_TEST),
-                        _random_vector(model, rng, chaos.ROLE_DISTRIBUTION))
+    phis, Phis = zip(*[(_random_vector(model, rng, chaos.ROLE_TEST, damp),
+                        _random_vector(model, rng, chaos.ROLE_DISTRIBUTION, damp))
                        for _ in range(5)])
     results["chaos_bounds"] = {
         "test": _jsonable(chaos.check_test_bound(phis, v0, 0.1, p=2, q=0, sample=sample)),

@@ -7,7 +7,7 @@ from numpy.polynomial.hermite_e import hermegauss, hermeval
 
 import bound_oracle
 import mode_products_oracle as oracle
-from wncalc import chaos
+from wncalc import chaos, cli
 from wncalc.chaos import (
     ChaosVector,
     FiniteGaussianModel,
@@ -248,7 +248,8 @@ class TestModeProducts:
     expressions it replaced (kept in ``mode_products_oracle``)."""
 
     @pytest.mark.parametrize("d, N, probes", [(4, 6, 64), (6, 10, 128), (1, 5, 3),
-                                              (2, 20, 2), (3, 4, 1), (3, 0, 5)])
+                                              (2, 20, 2), (3, 4, 1), (3, 0, 5),
+                                              (9, 4, 36), (8, 10, 16), (20, 2, 5)])
     def test_monomials_and_coherent_states_match_the_oracle(self, d, N, probes):
         model = FiniteGaussianModel(d=d, N=N)
         rng = np.random.default_rng(d * 100 + N)
@@ -260,13 +261,36 @@ class TestModeProducts:
 
     def test_point_eval_over_several_blocks_matches_the_oracle(self):
         model = FiniteGaussianModel(d=4, N=6)
-        rows_per_block = chaos._BLOCK_BYTES // (model.n_coeffs * model.d * 8)
+        # the block rule of _mode_products: a quarter of _BLOCK_BYTES per (rows, K) plane
+        rows_per_block = chaos._BLOCK_BYTES // (4 * model.n_coeffs * 8)
         X = 2.0 * np.random.default_rng(8).standard_normal((3 * rows_per_block + 7, 4))
         phi = random_vector(model, np.random.default_rng(9))
         P = oracle.hermite_products(model, X)
         assert same_bits(chaos._mode_products(model, chaos._hermite_table(X, model.N)), P)
         want = P @ (np.exp(model.log_mult) * phi.coeffs)
         assert same_bits(point_eval(phi, X), want)
+
+    def test_prefix_plan_walks_every_multi_index(self):
+        model = FiniteGaussianModel(d=5, N=4)
+        # one product per distinct prefix: C(N + j + 1, j + 1) at mode j, K at the last
+        sizes = [len(parent) for parent, _ in model.prefix_plan]
+        assert sizes == [math.comb(4 + j + 1, j + 1) for j in range(4)] + [model.n_coeffs]
+        prefixes = np.zeros((1, 0), dtype=np.int64)
+        for parent, col in model.prefix_plan:
+            prefixes = np.column_stack([prefixes[parent], col])
+        assert np.array_equal(prefixes, model.indices)
+
+    def test_real_form_complex_product_has_the_bits_of_python(self):
+        # the float fact _times rests on: (ar*br - ai*bi, ar*bi + ai*br) on float64
+        # planes is Python's complex product, while numpy's contiguous complex *
+        # (a SIMD loop) is not; a numpy upgrade that changes either fails here
+        rng = np.random.default_rng(24)
+        a, b = (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)
+                for _ in range(2))
+        want = np.array([x * y for x, y in zip(a.tolist(), b.tolist())])
+        re, im = chaos._times((a.real, a.imag), (b.real, b.imag))
+        assert same_bits(re, want.real) and same_bits(im, want.imag)
+        assert not same_bits(a * b, want)
 
     def test_monomial_build_holds_no_probe_by_index_by_mode_array(self):
         model = FiniteGaussianModel(d=6, N=10)
@@ -306,6 +330,39 @@ class TestBounds:
         with pytest.raises(PremiseError):
             check_dist_bound(Phi, u, a=2.0, p=0.0, q=2.0, sample=gaussian_sample(rng, 4, 3))
         assert "dual" not in u._memo
+
+    @pytest.mark.parametrize("a", [math.nan, -0.1, math.inf])
+    def test_a_must_be_finite_and_nonnegative(self, model, a):
+        rng = np.random.default_rng(5)
+        sample = gaussian_sample(rng, 2, 3)
+        u = power_exp(0.0)
+        phi = random_vector(model, rng)
+        with pytest.raises(ValueError, match="check_test_bound needs a finite a >= 0"):
+            check_test_bound(phi, u, a=a, p=2.0, q=0.0, sample=sample)
+        with pytest.raises(ValueError, match="check_dist_bound needs a finite a >= 0"):
+            check_dist_bound(phi.as_distribution(), u, a=a, p=0.0, q=2.0, sample=sample)
+        assert "dual" not in u._memo
+
+    def test_a_nan_contraction_fails_the_premise(self, model):
+        # p = nan passes no public side check, but _check_bound must still refuse
+        # the NaN contraction it gives
+        rng = np.random.default_rng(6)
+        phi = random_vector(model, rng)
+        with pytest.raises(PremiseError, match="nan"):
+            chaos._check_bound(phi, power_exp(0.0), 0.1, math.nan, 0.0,
+                               gaussian_sample(rng, 2, 3), dual=False)
+
+    def test_an_empty_probe_sample_is_refused(self, model):
+        rng = np.random.default_rng(7)
+        phi = random_vector(model, rng)
+        empty = np.empty((0, 3), dtype=complex)
+        with pytest.raises(ValueError, match="^the probe sample has no rows$"):
+            check_test_bound(phi, power_exp(0.0), a=0.1, p=2.0, q=0.0, sample=empty)
+        with pytest.raises(ValueError, match="^the probe sample has no rows$"):
+            check_dist_bound([phi.as_distribution()], power_exp(0.0), a=0.1, p=0.0,
+                             q=2.0, sample=empty)
+        with pytest.raises(ValueError, match="^the probe sample has no rows$"):
+            s_transform_many(phi, empty)
 
     def test_bound_checks_hold_on_random_vectors(self, model):
         rng = np.random.default_rng(8)
@@ -437,6 +494,22 @@ class TestBatchedBounds:
         with pytest.raises(chaos.ModelMismatchError):
             check_test_bound([phi, other], power_exp(0.0), a=0.1, p=2.0, q=0.0,
                              sample=sample)
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("d, N", [(6, 10), (3, 6), (1, 0)])
+    def test_cli_draw_has_the_bits_of_the_two_draw_product(self, d, N):
+        # one (2, K) draw, multiplied plane by plane, against (a + 1j*b) * damp
+        model = FiniteGaussianModel(d=d, N=N)
+        got_rng, want_rng = np.random.default_rng(d), np.random.default_rng(d)
+        damp = cli._damping(model)
+        for role in (chaos.ROLE_TEST, chaos.ROLE_DISTRIBUTION, chaos.ROLE_TEST):
+            got = cli._random_vector(model, got_rng, role, damp)
+            want = random_vector(model, want_rng, role)
+            assert got.role == role
+            assert same_bits(got.coeffs, want.coeffs)
+        # the generator is left where two draws of K leave it
+        assert got_rng.standard_normal() == want_rng.standard_normal()
 
 
 class TestObjectMemos:

@@ -81,6 +81,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: Poisson intensity must be in (0, inf)\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--a", "nan"], "check_test_bound needs a finite a >= 0, got nan"),
+        (["--a", "-0.1"], "check_test_bound needs a finite a >= 0, got -0.1"),
+        (["--sample-per-scale", "0"], "the probe sample has no rows"),
+        (["--vectors", "-1"], "--vectors must be >= 0, got -1"),
+    ])
+    def test_bad_chaos_bounds_argument_exits_one_with_one_line(self, capsys, flags,
+                                                                message):
+        argv = ["chaos-bounds", "--dim", "2", "--degree", "3", "--vectors", "2", *flags]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_tower_overflow_exits_one_with_one_line(self, capsys):
         assert run(["classify", "--family", "bell", "--order", "14"]) == 1
         captured = capsys.readouterr()
