@@ -7,12 +7,13 @@ holds floats for the one and float64 columns for the other.  Both are one
 conjugate problem in ``y = log r``, solved for all arguments in one
 ``optimize.minimize_scalar`` batch: a coarse scan and golden-section
 refinement of several brackets, since (log, x^2)-convexity of u does not
-guarantee convexity of the objective in y.  A batch evaluates
-``log u`` once on the 65 points of ``optimize.scan_grid`` and builds the
-scan rows from those values, a few hundred rows at a time; each lockstep
-step of the refinement is then one array call of ``log u``.  The arithmetic
-is the scalar expressions' in numpy and exp is ``math.exp`` mapped per
-element, so every value is bit for bit what one solve per argument gives.
+guarantee convexity of the objective in y.  A batch evaluates ``log u`` once
+on the 65 points of ``optimize.scan_grid`` and builds the scan rows from those
+values, a few hundred rows at a time; each lockstep step of the refinement is
+then one array call of ``log u``.  The arithmetic is the scalar expressions'
+in numpy and exp is ``math.exp`` mapped per element, so every value is bit
+for bit what one solve per argument gives.  ``certify`` checks such values by
+a brute-force minimum of the same rows on a dense grid (Lucet, 1997).
 
 ``dual_weight`` builds u* when it is called: one ``dual_function`` batch on
 a geometric grid, clipped to be nondecreasing and interpolated by PCHIP in
@@ -55,9 +56,9 @@ from .weights import (
 
 _Y_LO = math.log(1e-24)
 DUAL_R_LO = 1e-8  # lower end of the materialized u* grid
-AUDIT_POINTS = 128
-AUDIT_TOL = 1e-9
-_BLOCK = 128  # scan rows built at a time: all 4 097 at once add ~8 MB of peak RSS
+CERT_POINTS = 2**13  # grid points of a certificate on the solver's range of y = log r
+CERT_TOL = 1e-9  # relative round-off slack of a certificate
+_BLOCK = 128  # objective rows built at a time: all 4 097 scan rows at once add ~8 MB of peak RSS
 
 
 class UnboundedError(ArithmeticError):
@@ -91,9 +92,21 @@ def _safe_log_eval(u: WeightFunction, r):
         return math.inf
 
 
-def _exp(y: np.ndarray) -> np.ndarray:
-    """e^y per element through libm's exp, the bits of math.exp (np.exp differs)."""
-    return libm_map(math.exp, y)
+def _log_u(u: WeightFunction, y: np.ndarray) -> np.ndarray:
+    """log u(e^y), with e^y through libm (np.exp differs) and clamped to r_max as log_eval
+    clamps it, so the round-off of exp(log r_max) keeps the array on the kernel path."""
+    return _safe_log_eval(u, np.minimum(libm_map(math.exp, y), u.r_max))
+
+
+def _objective(p: np.ndarray, y: np.ndarray, logs: np.ndarray, dual: bool) -> np.ndarray:
+    """The minimized objective of argument p at y, from logs = log u(e^y), broadcast."""
+    return -(2.0 * np.sqrt(p) * libm_map(math.exp, 0.5 * y) - logs) if dual else logs - p * y
+
+
+def _objective_rows(u: WeightFunction, ps: np.ndarray, ys: np.ndarray, dual: bool):
+    """Blocks of _BLOCK rows, row k the objective of argument ps[k] at the points ys."""
+    logs = _log_u(u, ys)
+    return (_objective(ps[k:k + _BLOCK, None], ys, logs, dual) for k in range(0, len(ps), _BLOCK))
 
 
 def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
@@ -104,22 +117,10 @@ def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
     if (ps < 0).any():
         raise ValueError(f"{'r' if dual else 't'} must be >= 0")
     y_hi = math.log(u.r_max)
-    ys = np.array(optimize.scan_grid(_Y_LO, y_hi))
-    logs = _safe_log_eval(u, _exp(ys))
-    if dual:
-        coef = 2.0 * np.sqrt(ps)
-        halves = _exp(0.5 * ys)
-        blocks = (-(coef[k:k + _BLOCK, None] * halves - logs) for k in range(0, len(ps), _BLOCK))
-
-        def objective(ks, y):
-            return -(coef[ks] * _exp(0.5 * y) - _safe_log_eval(u, _exp(y)))
-    else:
-        blocks = (logs - ps[k:k + _BLOCK, None] * ys for k in range(0, len(ps), _BLOCK))
-
-        def objective(ks, y):
-            return _safe_log_eval(u, _exp(y)) - ps[ks] * y
+    blocks = _objective_rows(u, ps, np.array(optimize.scan_grid(_Y_LO, y_hi)), dual)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as in Python floats
-        res = optimize.minimize_scalar(objective, _Y_LO, y_hi, blocks)
+        res = optimize.minimize_scalar(lambda ks, y: _objective(ps[ks], y, _log_u(u, y), dual),
+                                       _Y_LO, y_hi, blocks)
     no_finite = res.status == optimize.STATUS_NO_FINITE
     failed = no_finite | ((res.status == optimize.STATUS_UPPER_BOUNDARY) & (ps > 0))
     if failed.any():
@@ -132,7 +133,7 @@ def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
             " the maximizer lies beyond the search limit r_max,"
             " or u fails the C_+,1/2 growth condition"
         ) if dual else f"inf of {u.name}(r)/r^{a} still decreasing at r_max={u.r_max}")
-    out = (-res.value if dual else res.value, _exp(res.x), res.status)
+    out = (-res.value if dual else res.value, libm_map(math.exp, res.x), res.status)
     return TransformResult(*(out if np.ndim(args) else (col[0].item() for col in out)))
 
 
@@ -231,7 +232,7 @@ def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 256) ->
     n = max(2, int(round(per_decade * math.log10(r_max / DUAL_R_LO))) + 1)
     log_r = np.linspace(math.log(DUAL_R_LO), math.log(r_max), n)
     # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
-    vals = np.maximum.accumulate(dual_function(u, _exp(log_r)).log_value)
+    vals = np.maximum.accumulate(dual_function(u, libm_map(math.exp, log_r)).log_value)
     pchip = _Pchip(log_r, vals)
     return WeightFunction(
         name=f"dual({u.name})",
@@ -264,7 +265,7 @@ def log_ell_sequence(u: WeightFunction, n_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tables and audits
+# tables and certificates
 
 
 @dataclass(frozen=True)
@@ -287,21 +288,16 @@ def legendre_table(u: WeightFunction, t_grid: Sequence[float]) -> LegendreTable:
                          argmin_r=res.arg_r.tolist(), optimizer_status=res.status.tolist())
 
 
-def _audit(u: WeightFunction, rng, holds) -> bool:
-    """holds(y, log u(e^y)) at AUDIT_POINTS random y = log r in [log 1e-6, log r_max]."""
-    ys = rng.uniform(math.log(1e-6), math.log(u.r_max), AUDIT_POINTS)
-    return bool(holds(ys, _safe_log_eval(u, _exp(ys))).all())
-
-
-def audit_infimum(u: WeightFunction, t: float, log_ell: float, rng) -> bool:
-    """Certificate check: log u(r) - t log r >= log_ell - AUDIT_TOL on random r."""
-    return _audit(u, rng, lambda y, log_u: log_u - t * y >= log_ell - AUDIT_TOL)
-
-
-def audit_supremum(u: WeightFunction, r: float, log_ustar: float, rng) -> bool:
-    """Certificate check: 2 sqrt(r s) - log u(s) <= log_ustar + AUDIT_TOL on random s."""
-    return _audit(u, rng, lambda y, log_u: 2.0 * np.sqrt(r * _exp(y)) - log_u
-                  <= log_ustar + AUDIT_TOL)
+def certify(u: WeightFunction, args, values, dual: bool = False) -> np.ndarray:
+    """One bool per argument: True when no point of CERT_POINTS values of y = log r
+    on the solver's range lies below the infimum log ell_u(t) = value (with ``dual``,
+    above the supremum log u*(r) = value) by more than CERT_TOL relative.  One-sided:
+    it catches a missed optimum, not an error below the grid's resolution."""
+    ys = np.linspace(_Y_LO, math.log(u.r_max), CERT_POINTS)
+    rows = _objective_rows(u, np.array(args, dtype=float, ndmin=1), ys, dual)
+    lows = np.concatenate([np.empty(0), *(block.min(axis=1) for block in rows)])
+    best = np.array(values, dtype=float, ndmin=1) * (-1.0 if dual else 1.0)
+    return lows >= best - CERT_TOL * (1.0 + np.abs(best))
 
 
 # ---------------------------------------------------------------------------

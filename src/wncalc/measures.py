@@ -168,6 +168,8 @@ class PositiveDefiniteReport:
 def check_positive_definite(char_fn, points, tol: float = 1e-8) -> PositiveDefiniteReport:
     """Gram test: G_jk = C(xi_j - xi_k) must be positive semidefinite.  ``char_fn``
     maps a (k, d) array of xi to the k values C(xi); one call takes all m^2 differences."""
+    if not math.isfinite(tol):  # a negative tol is a stricter test, NaN no test at all
+        raise ValueError(f"tol must be finite, got {tol!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(pts)
     if m < 2:

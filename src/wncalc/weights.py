@@ -351,7 +351,9 @@ def classify(u: WeightFunction, r_max: float | None = None) -> ClassMembership:
     the grid tail and exceeds ``DIVERGENCE_THRESHOLD`` at r_max; the boundedness
     condition passes when the ratio is non-increasing on the tail.
     """
-    r_max = min(r_max or u.r_max, u.r_max)
+    r_max = u.r_max if r_max is None else min(r_max, u.r_max)
+    if not 3.0 < r_max < math.inf:  # the grid starts at 3
+        raise ValueError(f"classify grid r_max={r_max!r} is not a finite number > 3")
     grid = np.geomspace(3.0, r_max, DEFAULT_GRID_POINTS)
     logu = u.log_eval(grid)
     r_log = logu / np.log(grid)

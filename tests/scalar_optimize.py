@@ -9,7 +9,11 @@ called it, one solve per argument, each scanning its own objective; a loop
 over them is the element-by-element path whose results and first error a
 batch has to reproduce, and whose evaluation counts, less the ``COARSE``
 scan evaluations of each solve, its refinement has to reproduce.  Nothing
-here reads a scan that ``wncalc.legendre`` computed.
+here reads a scan that ``wncalc.legendre`` computed.  ``log u`` of a
+``power_exp`` or Bell weight comes from the frozen kernels of
+``scalar_kernels``, a Python call per radius rather than a one-element array
+through ``WeightFunction.log_eval``; other weights go through
+``legendre._safe_log_eval``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import scalar_kernels
 from wncalc import legendre
 from wncalc.optimize import (
     COARSE,
@@ -110,14 +115,35 @@ def minimize_scalar(f, lo: float, hi: float, scan_values=None) -> ScalarMinResul
     return ScalarMinResult(x=best_x, value=best_v, status=status, evaluations=evals)
 
 
+def _scalar_log_u(u):
+    """log u at one radius in (0, r_max (1 + 1e-9)]: the frozen kernel of the family
+    where there is one, with log_eval's clamp to r_max and an overflow read as +inf."""
+    family = u.name.split("(")[0]
+    if family == "power_exp":
+        kernel = scalar_kernels.power_exp(u.params["beta"])
+    elif family == "bell":
+        kernel = scalar_kernels.bell(u.params["k"])
+    else:
+        return lambda r: legendre._safe_log_eval(u, r)
+
+    def log_u(r: float) -> float:
+        try:
+            return kernel(min(r, u.r_max))
+        except (OverflowError, scalar_kernels.PrecisionError):
+            return math.inf
+
+    return log_u
+
+
 def legendre_transform(u, t: float):
     """(TransformResult, evaluations) of one scalar Legendre solve."""
     if t < 0:
         raise ValueError("t must be >= 0")
     y_hi = math.log(u.r_max)
+    log_u = _scalar_log_u(u)
 
     def g(y: float) -> float:
-        return legendre._safe_log_eval(u, math.exp(y)) - t * y
+        return log_u(math.exp(y)) - t * y
 
     res = minimize_scalar(g, legendre._Y_LO, y_hi)
     if res.status == STATUS_UPPER_BOUNDARY and t > 0:
@@ -134,9 +160,10 @@ def dual_function(u, r: float):
         raise ValueError("r must be >= 0")
     y_hi = math.log(u.r_max)
     sqrt_r = math.sqrt(r)
+    log_u = _scalar_log_u(u)
 
     def h(y: float) -> float:
-        return -(2.0 * sqrt_r * math.exp(0.5 * y) - legendre._safe_log_eval(u, math.exp(y)))
+        return -(2.0 * sqrt_r * math.exp(0.5 * y) - log_u(math.exp(y)))
 
     res = minimize_scalar(h, legendre._Y_LO, y_hi)
     if res.status == STATUS_UPPER_BOUNDARY and r > 0:

@@ -176,6 +176,37 @@ class TestExitCodes:
         assert captured.err.startswith("error: weight config ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["0", "nan", "2", "3", "-5"])
+    def test_bad_classify_grid_r_max_exits_one_with_one_line(self, capsys, value):
+        # the grid starts at 3: 0 used to read as "unset", 2 and 3 gave a descending or
+        # constant grid, nan reached the report and -5 a numpy warning
+        assert run(["classify", "--grid-r-max", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: classify grid r_max={float(value)!r}"
+                                " is not a finite number > 3\n")
+
+    def test_table_ending_below_three_exits_one_with_one_line(self, capsys, tmp_path):
+        cfg = tmp_path / "w.json"
+        cfg.write_text('{"family": "custom_table", "params": {"points": [[0, 0], [1, 1], [2, 3]]}}')
+        assert run(["classify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: classify grid r_max=2.0 is not a finite number > 3\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_one_with_one_line(self, capsys, tol):
+        assert run(["positive-definite", "--model", "gaussian", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be finite, got {float(tol)!r}\n"
+
+    def test_negative_tol_is_a_stricter_test(self, capsys):
+        argv = ["positive-definite", "--model", "gaussian", "--points", "4", "--sets", "1"]
+        assert run([*argv, "--tol=-1e-3"]) == 0
+        [report] = json.loads(capsys.readouterr().out)["results"]["gram_reports"]
+        assert report["tol"] == -1e-3 and report["verdict"] == "consistent"
+
     def test_sampler_validation_error_exits_one_with_one_line(self):
         # a subprocess, so that numpy warnings would reach the stderr we read;
         # this seed is the gate's rare false alarm on a correct sampler

@@ -11,8 +11,7 @@ from wncalc import chaos, legendre, optimize, sequences
 from wncalc.cli import _jsonable
 from wncalc.legendre import (
     UnboundedError,
-    audit_infimum,
-    audit_supremum,
+    certify,
     dual_function,
     dual_of,
     dual_weight,
@@ -22,7 +21,14 @@ from wncalc.legendre import (
     seq_equivalent,
     verify_dual_sequence,
 )
-from wncalc.weights import CONSISTENT, VIOLATED, bell_weight, from_callable, power_exp
+from wncalc.weights import (
+    CONSISTENT,
+    VIOLATED,
+    WeightFunction,
+    bell_weight,
+    from_callable,
+    power_exp,
+)
 
 
 def closed_form_ell(beta: float, n: float) -> float:
@@ -67,12 +73,10 @@ class TestLegendreTransform:
                 assert got[n] == pytest.approx(want, rel=1e-13, abs=0.0), n
 
     def test_infimum_certificate(self):
-        rng = np.random.default_rng(1)
-        u = power_exp(0.25)
-        for t in (1.0, 5.0, 12.0):
-            res = legendre_transform(u, t)
-            assert audit_infimum(u, t, res.log_value, rng)
-            assert not audit_infimum(u, t, res.log_value + 1.0, rng)
+        u, ts = power_exp(0.25), [1.0, 5.0, 12.0]
+        got = legendre_transform(u, ts).log_value
+        assert certify(u, ts, got).tolist() == [True] * 3
+        assert certify(u, ts, got + 1.0).tolist() == [False] * 3
 
 
 def bell2_log_dual(r: float) -> float:
@@ -100,12 +104,10 @@ class TestDualFunction:
             assert got == pytest.approx(want, rel=1e-8)
 
     def test_supremum_certificate(self):
-        rng = np.random.default_rng(2)
-        u = power_exp(0.5)
-        for r in (0.5, 10.0):
-            res = dual_function(u, r)
-            assert audit_supremum(u, r, res.log_value, rng)
-            assert not audit_supremum(u, r, res.log_value - 10.0, rng)
+        u, rs = power_exp(0.5), [0.5, 10.0]
+        got = dual_function(u, rs).log_value
+        assert certify(u, rs, got, dual=True).tolist() == [True] * 2
+        assert certify(u, rs, got - 10.0, dual=True).tolist() == [False] * 2
 
     # off the knots of the u* grid, which has 256 per decade from 1e-8
     BELL2_RS = [1.3e-4, 0.31, 47.0, 3.9e4, 6.1e7]
@@ -456,6 +458,15 @@ class TestBatchSolver:
         assert _bits(got) == _bits(want)
         assert np.isinf(want).tolist() == [False] * 5 + [True] * 5
 
+    def test_the_scan_reaches_the_kernel_in_one_call(self):
+        # exp(log 1e8) lies past r_max = 1e8; clamped there, as log_eval clamps it,
+        # the top scan point keeps the 65 radii off the per-element path
+        assert math.exp(math.log(1e8)) > 1e8
+        sizes = []
+        u = WeightFunction("sizes", lambda r: sizes.append(len(r)) or r.copy(), r_max=1e8)
+        legendre_transform(u, [1.0, 2.0])
+        assert sizes[0] == optimize.COARSE
+
     def test_a_scalar_argument_is_a_batch_of_one(self):
         # a scalar gives float and str fields; a 1-D argument, columns of its length
         u = power_exp(0.3)
@@ -502,6 +513,74 @@ class TestBatchSolver:
         with pytest.raises(UnboundedError, match=r"sqrt\(3\.0 s\)") as got:
             dual_function(u, rs)
         assert str(got.value) == str(want)
+
+
+def _moved(values, up: bool) -> np.ndarray:
+    # 1e-3 (1 + |v|) is 10 times the coarsest grid resolution seen, 9.8e-5 on bell(2)
+    values = np.asarray(values, dtype=float)
+    return values + (1.0 if up else -1.0) * 1e-3 * (1.0 + np.abs(values))
+
+
+U_STAR_GRID = np.exp(np.linspace(math.log(legendre.DUAL_R_LO), math.log(1e8), 4_097))
+
+
+class TestCertify:
+    """The grid certificate passes the solver's values and the oracles, and fails
+    a value moved the wrong way or a local optimum that is not the global one."""
+
+    @pytest.mark.parametrize("name", list(TestBatchSolver.WEIGHTS))
+    def test_legendre_transform_up_to_forty(self, name):
+        u, ts = TestBatchSolver.WEIGHTS[name](), np.arange(41.0)
+        got = legendre_transform(u, ts).log_value
+        assert certify(u, ts, got).all()
+        assert certify(u, ts, _moved(got, up=False)).all()
+        assert not certify(u, ts, _moved(got, up=True)).any()
+
+    @pytest.mark.parametrize("name", [n for n in TestBatchSolver.WEIGHTS if not n.startswith("u*")])
+    def test_dual_function_on_the_default_u_star_grid(self, name):
+        u = TestBatchSolver.WEIGHTS[name]()
+        got = dual_function(u, U_STAR_GRID).log_value
+        assert certify(u, U_STAR_GRID, got, dual=True).all()
+        assert certify(u, U_STAR_GRID, _moved(got, up=True), dual=True).all()
+        assert not certify(u, U_STAR_GRID, _moved(got, up=False), dual=True).any()
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
+    def test_closed_forms(self, beta):
+        u, ns, rs = power_exp(beta), [1, 2, 7, 19], [0.01, 1.0, 55.0, 1e4]
+        ell = [closed_form_ell(beta, n) for n in ns]
+        ustar = [closed_form_dual(beta, r) for r in rs]
+        assert certify(u, ns, ell).all() and certify(u, rs, ustar, dual=True).all()
+        assert not certify(u, ns, _moved(ell, up=True)).any()
+        assert not certify(u, rs, _moved(ustar, up=False), dual=True).any()
+
+    def test_bell_two_oracles(self):
+        u, ns = bell_weight(2), range(1, 31)
+        with mp.workdps(40):
+            ell = [float(mp.exp(w) - 1 - n * mp.log(w))
+                   for n, w in ((n, mp.lambertw(n).real) for n in ns)]
+        ustar = [bell2_log_dual(r) for r in TestDualFunction.BELL2_RS]
+        assert certify(u, ns, ell).all()
+        assert certify(u, TestDualFunction.BELL2_RS, ustar, dual=True).all()
+        assert not certify(u, ns, _moved(ell, up=True)).any()
+        assert not certify(u, TestDualFunction.BELL2_RS, _moved(ustar, up=False), dual=True).any()
+
+    def test_the_shallower_of_two_wells_fails(self):
+        # log u(e^y) = (y^2 - 4)^2 + y / 2 has wells near y = -2 (deeper) and y = 2;
+        # the tilt 2 sqrt(r) e^{y/2} of the dual at r = 0.01 keeps y = -2 the better one
+        u = from_callable("two_wells", lambda r: (math.log(r) ** 2 - 4.0) ** 2
+                          + 0.5 * math.log(r))
+        for dual, arg in ((False, 0.0), (True, 0.01)):
+            sign = -1.0 if dual else 1.0
+            best = sign * (dual_function if dual else legendre_transform)(u, arg).log_value
+
+            def objective(y):  # minimized: log u - t y, or -(2 sqrt(r) e^{y/2} - log u)
+                tilt = 2.0 * math.sqrt(arg) * math.exp(0.5 * y) if dual else arg * y
+                return u.log_eval(math.exp(y)) - tilt
+
+            _, shallow, _ = scalar_optimize.golden_section(objective, 1.0, 3.0)
+            assert best < shallow - 1.0
+            assert certify(u, [arg], [sign * best], dual=dual).tolist() == [True]
+            assert certify(u, [arg], [sign * shallow], dual=dual).tolist() == [False]
 
 
 class TestPchipMatchesScipy:
