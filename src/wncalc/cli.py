@@ -124,6 +124,9 @@ def _cmd_legendre(args, seed):
 
 def _cmd_dual(args, seed):
     u, cfg = _weight_from_args(args)
+    if not 0.0 < args.r_lo <= args.r_hi < math.inf:
+        raise ValueError("need finite radii 0 < --r-lo <= --r-hi,"
+                         f" got {args.r_lo!r} and {args.r_hi!r}")
     rs = np.geomspace(args.r_lo, args.r_hi, args.points)
     res = legendre.dual_function(u, rs)
     return {"weight": _jsonable(u), "r": rs.tolist(), "log_ustar": res.log_value.tolist(),

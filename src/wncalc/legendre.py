@@ -16,16 +16,16 @@ for bit what one solve per argument gives.  ``certify`` checks such values by
 a brute-force minimum of the same rows on a dense grid (Lucet, 1997).
 
 ``dual_weight`` builds u* when it is called: one ``dual_function`` batch on
-a geometric grid, clipped to be nondecreasing and interpolated by PCHIP in
-log r, so that transforms of transforms (the dual-sequence relation) stay
-tractable.  The returned WeightFunction holds only the interpolant, the
-grid's lower end and log u* there, never u.  The PCHIP coefficients are
-computed here in numpy with the steps and the operation order of
-``scipy.interpolate.PchipInterpolator`` (``extrapolate=False``).  The u*
-kernel takes log r per element through libm, finds each interval by
-``searchsorted`` and sums the cubic in ``PPoly``'s order on the coefficient
-arrays, so the values at an array of radii are scipy's to the bit without
-importing scipy.
+32 knots per decade of log r, clipped to be nondecreasing, and a cubic
+Hermite interpolant of log log u* in log r on the slopes the envelope theorem
+gives, d log u*/d log r = sqrt(r s*) with s* the maximizer the batch returns,
+so that transforms of transforms (the dual-sequence relation) stay
+tractable.  The build refuses slopes that fail the Fritsch-Carlson condition
+(SIAM J. Numer. Anal. 17, 1980), so the interpolant is monotone between the
+knots.  The returned WeightFunction holds only the knots, the cubic
+coefficients, the grid's lower end and log u* there, never u.  The u* kernel
+takes log r and exp per element through libm and finds each interval by
+``searchsorted``, so no Python frame runs per radius.
 
 ``dual_of(u)`` is the one u* of a weight object: the default-grid
 ``dual_weight(u)``, kept on u once built, so the dual-sequence check and the
@@ -87,9 +87,14 @@ def _safe_log_eval(u: WeightFunction, r):
     try:
         return u.log_eval(r)
     except (OverflowError, PrecisionError):
-        if type(r) is np.ndarray:  # inf only where the scalar call overflows
-            return np.fromiter((_safe_log_eval(u, x) for x in r.tolist()), float, len(r))
-        return math.inf
+        if type(r) is not np.ndarray:
+            return math.inf
+        if len(r) == 1:  # a one-element array overflows where its scalar call does
+            return np.array([math.inf])
+        # halves until single elements, so the elements that do not overflow still
+        # reach the kernel in a few calls, with the bits of the element-by-element path
+        k = len(r) // 2
+        return np.concatenate((_safe_log_eval(u, r[:k]), _safe_log_eval(u, r[k:])))
 
 
 def _log_u(u: WeightFunction, y: np.ndarray) -> np.ndarray:
@@ -151,93 +156,61 @@ def dual_function(u: WeightFunction, r) -> TransformResult:
 # materialized dual weight
 
 
-def _pchip_edge_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope, kept shape-preserving (scipy's _edge_case)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cubic coefficients (4, n-1) of the PCHIP interpolant of y on the
-    strictly increasing float knots x (at least two).
-
-    Row k multiplies (x - x_i)^(3-k) on [x_i, x_{i+1}].  The slopes follow
-    Fritsch and Butland's weighted harmonic mean with Moler's one-sided end
-    slopes, two points interpolate linearly, and every step repeats the
-    arithmetic of scipy's PchipInterpolator and CubicHermiteSpline in the
-    same order, so the coefficients equal scipy's bit for bit.
-    """
-    if not np.all(np.isfinite(y)):
-        raise ValueError("PCHIP values must be finite")
-    hk = x[1:] - x[:-1]
-    mk = (y[1:] - y[:-1]) / hk
-    if len(y) == 2:
-        dk = np.array([mk[0], mk[0]])
-    else:
-        smk = np.sign(mk)
-        flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-        w1 = 2 * hk[1:] + hk[:-1]
-        w2 = hk[1:] + 2 * hk[:-1]
-        # division by zero only where `flat` already zeroes the slope
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-        dk = np.zeros_like(y)
-        dk[1:-1][~flat] = 1.0 / whmean[~flat]
-        dk[0] = _pchip_edge_slope(hk[0], hk[1], mk[0], mk[1])
-        dk[-1] = _pchip_edge_slope(hk[-1], hk[-2], mk[-1], mk[-2])
-    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
-    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]))
-
-
-class _Pchip:
-    """PCHIP interpolant on knots x, at a float64 array; NaN outside [x_0, x_{n-1}].
-
-    Stands in for ``PchipInterpolator(x, y, extrapolate=False)``: it finds
-    the intervals as scipy's ``PPoly`` does and sums the cubic in its order.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        c0, c1, c2, c3 = _pchip_coefficients(x, y)
-        self.knots = x
-        # PPoly sums from 0.0, which turns a -0.0 constant term into +0.0
-        self.coeffs = (c0, c1, c2, c3 + 0.0)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        knots = self.knots
-        # the interval [x_i, x_{i+1}) holding x; the last one is closed
-        i = np.minimum(np.searchsorted(knots, x, side="right") - 1, len(knots) - 2)
-        s = x - knots[i]
-        c0, c1, c2, c3 = (c[i] for c in self.coeffs)
-        out = ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
-        out[~((knots[0] <= x) & (x <= knots[-1]))] = math.nan
-        return out
-
-
-def _dual_log_eval(pchip: _Pchip, r_lo: float, log_at_lo: float, r: np.ndarray) -> np.ndarray:
-    """log u*(r): the interpolant at log r, and below the grid start r_lo linear in r
-    from log u*(r_lo) = log_at_lo, so that u* is continuous with u*(0) = 1."""
+def _dual_log_eval(knots: np.ndarray, coeffs: np.ndarray, r_lo: float, log_at_lo: float,
+                   r: np.ndarray) -> np.ndarray:
+    """log u*(r): exp of the cubic in s = log r - x_i on the knot interval [x_i, x_{i+1}]
+    holding log r, and below the grid start r_lo linear in r from log u*(r_lo) = log_at_lo,
+    so that u* is continuous with u*(0) = 1."""
     x = libm_map(math.log, r)
-    out = pchip(x)
-    below = x < pchip.knots[0]
+    # the interval [x_i, x_{i+1}) holding log r; r_max, the last knot, closes the last one
+    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+    s = np.maximum(x - knots[i], 0.0)  # 0 below the grid, where the cubic is not used
+    c0, c1, c2, c3 = coeffs[:, i]
+    out = libm_map(math.exp, c3 + s * (c2 + s * (c1 + s * c0)))
+    below = x < knots[0]
     out[below] = log_at_lo * (r[below] / r_lo)
     return out
 
 
-def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 256) -> WeightFunction:
-    """u* by PCHIP in log r through one dual_function batch on [DUAL_R_LO, r_max]."""
+def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 32) -> WeightFunction:
+    """u* by cubic Hermite interpolation through one dual_function batch on the knots
+    x = log r, per_decade of them per decade of [DUAL_R_LO, r_max].
+
+    The interpolated function is g = log log u*, with the exact slope
+    dg/dx = sqrt(r s*) / log u* at each knot: the envelope theorem gives
+    d log u*/d log r = sqrt(r s*) for the maximizer s*, which the batch returns.
+    An interval whose slopes fail the Fritsch-Carlson condition, where the cubic
+    need not be monotone, raises ValueError, as does a knot value log u* that is
+    not finite and > 0, so the u* returned is nondecreasing.
+    """
     n = max(2, int(round(per_decade * math.log10(r_max / DUAL_R_LO))) + 1)
-    log_r = np.linspace(math.log(DUAL_R_LO), math.log(r_max), n)
-    # u* is nondecreasing; clip tiny optimizer jitter so PCHIP stays monotone
-    vals = np.maximum.accumulate(dual_function(u, libm_map(math.exp, log_r)).log_value)
-    pchip = _Pchip(log_r, vals)
+    x = np.linspace(math.log(DUAL_R_LO), math.log(r_max), n)
+    rs = libm_map(math.exp, x)
+    res = dual_function(u, rs)
+    # u* is nondecreasing; clip optimizer jitter, if any, before the monotonicity test
+    vals = np.maximum.accumulate(res.log_value)
+    usable = (vals > 0) & (vals < math.inf)
+    if not usable.all():
+        k = int(np.argmin(usable))
+        raise ValueError(f"log u* of {u.name} at r={float(rs[k])} is {float(vals[k])},"
+                         " not finite and > 0")
+    g = libm_map(math.log, vals)
+    d = np.sqrt(rs * res.arg_r) / vals
+    h = np.diff(x)
+    m = np.diff(g) / h
+    d0, d1 = d[:-1], d[1:]
+    # Fritsch and Carlson (SIAM J. Numer. Anal. 17, 1980): with secant m > 0, slopes
+    # alpha m and beta m with alpha, beta >= 0 and alpha^2 + beta^2 <= 9 keep it monotone
+    monotone = (m > 0) & (d0 >= 0) & (d1 >= 0) & (d0 * d0 + d1 * d1 <= 9.0 * (m * m))
+    if not monotone.all():
+        k = int(np.argmin(monotone))
+        raise ValueError(f"u* of {u.name} fails the Fritsch-Carlson monotonicity condition"
+                         f" between the knots r={float(rs[k])} and r={float(rs[k + 1])}")
+    t = (d0 + d1 - 2.0 * m) / h
+    coeffs = np.stack((t / h, (m - d0) / h - t, d0, g[:-1]))
     return WeightFunction(
         name=f"dual({u.name})",
-        _log_eval=functools.partial(_dual_log_eval, pchip, math.exp(log_r[0]),
-                                    pchip(log_r[:1])[0]),
+        _log_eval=functools.partial(_dual_log_eval, x, coeffs, float(rs[0]), math.exp(g[0])),
         r_max=r_max,
         params={"dual_of": u.name, **{f"base_{k}": v for k, v in u.params.items()}},
     )

@@ -348,6 +348,8 @@ def integrability_check(
 
     |x|_{-p} uses the eigenvalues 2j+2, j < d.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p!r}")
     w = oscillator_eigenvalues(model.d) ** (-2.0 * p)
 
     def stat(x):

@@ -1,11 +1,12 @@
 """Frozen scalar kernels: each array kernel of ``wncalc`` must match one bit for bit.
 
-These are the per-radius ``log u`` evaluators ``wncalc.weights`` and
-``wncalc.legendre`` had before every kernel took an array, kept verbatim:
-the ``power_exp`` closure, the ``_descend``-based Bell kernel, ``sqrt_log``
-through ``log_k``, ``custom_table``'s scalar ``np.interp`` and the u*
-evaluator ``_Pchip.__call__`` with ``_dual_log_eval``.  Each takes one
-Python float in (0, r_max] and returns a Python float.
+These are the per-radius ``log u`` evaluators ``wncalc.weights`` had before
+every kernel took an array, kept verbatim: the ``power_exp`` closure, the
+``_descend``-based Bell kernel, ``sqrt_log`` through ``log_k`` and
+``custom_table``'s scalar ``np.interp``.  ``Hermite`` is the u* evaluator of
+``wncalc.legendre`` written one radius at a time, with ``bisect`` for the
+knot interval and Python floats for the cubic.  Each takes one Python float
+in (0, r_max] and returns a Python float.
 
 ``char_fn`` and ``poisson_char`` are the characteristic functionals of
 ``wncalc.measures`` at one argument xi, as they were before they took a
@@ -88,29 +89,27 @@ def custom_table(points):
     return f
 
 
-class Pchip:
-    """Scalar PCHIP on knots x from the (4, n-1) coefficient rows of ``_pchip_coefficients``."""
+class Hermite:
+    """log u* at one radius from the knots, the (4, n-1) cubic coefficient rows, the
+    first knot's radius and log u* there, as ``legendre.dual_weight`` keeps them: exp
+    of the cubic of log log u* at log r on the knot interval holding it, and below the
+    first knot linear in r down to u*(0) = 1."""
 
-    def __init__(self, x: np.ndarray, coefficients: np.ndarray):
-        c0, c1, c2, c3 = coefficients
-        self.knots = x.tolist()
-        self.pieces = list(zip(c0.tolist(), c1.tolist(), c2.tolist(), (c3 + 0.0).tolist()))
+    def __init__(self, knots: np.ndarray, coefficients: np.ndarray, r_lo: float,
+                 log_at_lo: float):
+        self.knots = knots.tolist()
+        self.pieces = list(zip(*(row.tolist() for row in coefficients)))
+        self.r_lo, self.log_at_lo = r_lo, log_at_lo
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, r: float) -> float:
         knots = self.knots
-        if not knots[0] <= x <= knots[-1]:
-            return math.nan
+        x = math.log(r)
+        if x < knots[0]:
+            return self.log_at_lo * (r / self.r_lo)
         i = min(bisect.bisect_right(knots, x) - 1, len(knots) - 2)
         s = x - knots[i]
         c0, c1, c2, c3 = self.pieces[i]
-        return ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
-
-
-def dual_log_eval(pchip: Pchip, r_lo: float, r: float) -> float:
-    x = math.log(r)
-    if x < pchip.knots[0]:
-        return pchip(pchip.knots[0]) * (r / r_lo)
-    return pchip(x)
+        return math.exp(c3 + s * (c2 + s * (c1 + s * c0)))
 
 
 def poisson_char(xi, intensity: float) -> complex:

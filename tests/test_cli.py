@@ -207,6 +207,24 @@ class TestExitCodes:
         [report] = json.loads(capsys.readouterr().out)["results"]["gram_reports"]
         assert report["tol"] == -1e-3 and report["verdict"] == "consistent"
 
+    @pytest.mark.parametrize("flags", [["--r-lo", "-1"], ["--r-lo", "0"], ["--r-lo", "nan"],
+                                       ["--r-hi", "inf"], ["--r-lo", "5", "--r-hi", "1"]])
+    def test_bad_dual_radii_exit_one_with_one_line(self, capsys, flags):
+        # a negative --r-lo used to reach np.geomspace, whose RuntimeWarning came first
+        assert run(["dual", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need finite radii 0 < --r-lo <= --r-hi, got ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+    def test_non_finite_p_exits_one_with_one_line(self, capsys, p):
+        # a NaN p used to be graded: an estimate of NaN, the verdict diverging, exit 2
+        assert run(["integrability", "--model", "gaussian", f"--p={p}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: p must be finite, got {float(p)!r}\n"
+
     def test_sampler_validation_error_exits_one_with_one_line(self):
         # a subprocess, so that numpy warnings would reach the stderr we read;
         # this seed is the gate's rare false alarm on a correct sampler

@@ -180,12 +180,10 @@ class TestFloatTower:
 
 
 def _u_star():
-    """A u*, the frozen scalar u* kernel on its knots and coefficients, and a radius
+    """A u*, the scalar u* kernel on its knots and coefficients, and a radius
     below its first knot 1e-8, where u* is linear in r."""
     ustar = dual_weight(power_exp(0.3), per_decade=16)
-    pchip, r_lo, _ = ustar._log_eval.args
-    oracle = scalar_kernels.Pchip(pchip.knots, np.array(pchip.coeffs))
-    return ustar, lambda r: scalar_kernels.dual_log_eval(oracle, r_lo, r), 1e-20
+    return ustar, scalar_kernels.Hermite(*ustar._log_eval.args), 1e-20
 
 
 # (weight, its frozen scalar kernel, the low end of the log-uniform test radii)
