@@ -20,12 +20,13 @@ a brute-force minimum of the same rows on a dense grid (Lucet, 1997).
 Hermite interpolant of log log u* in log r on the slopes the envelope theorem
 gives, d log u*/d log r = sqrt(r s*) with s* the maximizer the batch returns,
 so that transforms of transforms (the dual-sequence relation) stay
-tractable.  The build refuses slopes that fail the Fritsch-Carlson condition
-(SIAM J. Numer. Anal. 17, 1980), so the interpolant is monotone between the
-knots.  The returned WeightFunction holds only the knots, the cubic
-coefficients, the grid's lower end and log u* there, never u.  The u* kernel
-takes log r and exp per element through libm and finds each interval by
-``searchsorted``, so no Python frame runs per radius.
+tractable.  Slopes outside the Fritsch-Carlson region (SIAM J. Numer. Anal.
+17, 1980) are scaled into it, so the interpolant is monotone between the
+knots; below the first knot with log u* > 0, u* is linear in r.  The returned
+WeightFunction holds only the knots, the cubic coefficients and the points of
+that linear part, never u.  The u* kernel takes log r and exp per element
+through libm and finds each interval by ``searchsorted``, so no Python frame
+runs per radius.
 
 ``dual_of(u)`` is the one u* of a weight object: the default-grid
 ``dual_weight(u)``, kept on u once built, so the dual-sequence check and the
@@ -156,19 +157,23 @@ def dual_function(u: WeightFunction, r) -> TransformResult:
 # materialized dual weight
 
 
-def _dual_log_eval(knots: np.ndarray, coeffs: np.ndarray, r_lo: float, log_at_lo: float,
+def _dual_log_eval(knots: np.ndarray, coeffs: np.ndarray, below: np.ndarray,
                    r: np.ndarray) -> np.ndarray:
     """log u*(r): exp of the cubic in s = log r - x_i on the knot interval [x_i, x_{i+1}]
-    holding log r, and below the grid start r_lo linear in r from log u*(r_lo) = log_at_lo,
-    so that u* is continuous with u*(0) = 1."""
+    holding log r, and below the first knot linear in r between the points of the
+    rows below = (r, log u*), which run from r = 0 to the first knot's radius."""
     x = libm_map(math.log, r)
     # the interval [x_i, x_{i+1}) holding log r; r_max, the last knot, closes the last one
     i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
     s = np.maximum(x - knots[i], 0.0)  # 0 below the grid, where the cubic is not used
     c0, c1, c2, c3 = coeffs[:, i]
     out = libm_map(math.exp, c3 + s * (c2 + s * (c1 + s * c0)))
-    below = x < knots[0]
-    out[below] = log_at_lo * (r[below] / r_lo)
+    lo = x < knots[0]
+    if lo.any():
+        rp, vp = below
+        r_lo = r[lo]
+        j = np.clip(np.searchsorted(rp, r_lo, side="right") - 1, 0, len(rp) - 2)
+        out[lo] = vp[j] + (vp[j + 1] - vp[j]) * ((r_lo - rp[j]) / (rp[j + 1] - rp[j]))
     return out
 
 
@@ -179,40 +184,49 @@ def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 32) -> 
     The interpolated function is g = log log u*, with the exact slope
     dg/dx = sqrt(r s*) / log u* at each knot: the envelope theorem gives
     d log u*/d log r = sqrt(r s*) for the maximizer s*, which the batch returns.
-    An interval whose slopes fail the Fritsch-Carlson condition, where the cubic
-    need not be monotone, raises ValueError, as does a knot value log u* that is
-    not finite and > 0, so the u* returned is nondecreasing.
+    g needs log u* > 0, so the cubic starts at the first knot where it is; below
+    that knot u* is linear in r through the knot values, down to u*(0) = 1/u(0).
+    A knot value or maximizer that is not finite raises ValueError, as does a
+    grid with fewer than two knots where log u* > 0.
     """
     n = max(2, int(round(per_decade * math.log10(r_max / DUAL_R_LO))) + 1)
     x = np.linspace(math.log(DUAL_R_LO), math.log(r_max), n)
     rs = libm_map(math.exp, x)
     res = dual_function(u, rs)
-    # u* is nondecreasing; clip optimizer jitter, if any, before the monotonicity test
-    vals = np.maximum.accumulate(res.log_value)
-    usable = (vals > 0) & (vals < math.inf)
-    if not usable.all():
-        k = int(np.argmin(usable))
-        raise ValueError(f"log u* of {u.name} at r={float(rs[k])} is {float(vals[k])},"
-                         " not finite and > 0")
-    g = libm_map(math.log, vals)
-    d = np.sqrt(rs * res.arg_r) / vals
-    h = np.diff(x)
+    finite = np.isfinite(res.log_value) & np.isfinite(res.arg_r)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"log u* of {u.name} at r={float(rs[k])} is {float(res.log_value[k])}"
+                         f" with maximizer s*={float(res.arg_r[k])}, not finite")
+    # u* is nondecreasing from u*(0) = 1/u(0): clip optimizer jitter, and values below
+    # u*(0), which the solver's lower end s >= e^_Y_LO can give at the smallest r
+    log_at_zero = -math.log(u.u_at_zero)
+    vals = np.maximum.accumulate(np.concatenate(([log_at_zero], res.log_value)))[1:]
+    first = int(np.argmax(vals > 0))  # the first knot of the cubic
+    if not vals[-2] > 0:
+        raise ValueError(f"log u* of {u.name} is > 0 at fewer than two knots in"
+                         f" [{float(rs[0])}, {float(rs[-1])}]")
+    g = libm_map(math.log, vals[first:])
+    d = np.sqrt(rs[first:] * res.arg_r[first:]) / vals[first:]
+    h = np.diff(x[first:])
     m = np.diff(g) / h
+    # Fritsch and Carlson (SIAM J. Numer. Anal. 17, 1980): with secant m >= 0, slopes
+    # alpha m and beta m with alpha, beta >= 0 and alpha^2 + beta^2 <= 9 keep the cubic
+    # monotone.  The exact slopes meet that where u* is smooth on the knot scale; at a
+    # kink (a tabulated u) or a flat clipped interval both are scaled onto the circle,
+    # and a smaller slope keeps the interval on its other side inside it
+    scale = np.minimum(1.0, 3.0 * m / np.hypot(d[:-1], d[1:]))
+    d = d * np.minimum(np.append(scale, 1.0), np.insert(scale, 0, 1.0))
     d0, d1 = d[:-1], d[1:]
-    # Fritsch and Carlson (SIAM J. Numer. Anal. 17, 1980): with secant m > 0, slopes
-    # alpha m and beta m with alpha, beta >= 0 and alpha^2 + beta^2 <= 9 keep it monotone
-    monotone = (m > 0) & (d0 >= 0) & (d1 >= 0) & (d0 * d0 + d1 * d1 <= 9.0 * (m * m))
-    if not monotone.all():
-        k = int(np.argmin(monotone))
-        raise ValueError(f"u* of {u.name} fails the Fritsch-Carlson monotonicity condition"
-                         f" between the knots r={float(rs[k])} and r={float(rs[k + 1])}")
     t = (d0 + d1 - 2.0 * m) / h
     coeffs = np.stack((t / h, (m - d0) / h - t, d0, g[:-1]))
+    below = np.array([[0.0, *rs[:first + 1]], [log_at_zero, *vals[:first], math.exp(g[0])]])
     return WeightFunction(
         name=f"dual({u.name})",
-        _log_eval=functools.partial(_dual_log_eval, x, coeffs, float(rs[0]), math.exp(g[0])),
+        _log_eval=functools.partial(_dual_log_eval, x[first:], coeffs, below),
         r_max=r_max,
         params={"dual_of": u.name, **{f"base_{k}": v for k, v in u.params.items()}},
+        u_at_zero=1.0 / u.u_at_zero,
     )
 
 

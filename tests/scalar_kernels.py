@@ -5,7 +5,8 @@ every kernel took an array, kept verbatim: the ``power_exp`` closure, the
 ``_descend``-based Bell kernel, ``sqrt_log`` through ``log_k`` and
 ``custom_table``'s scalar ``np.interp``.  ``Hermite`` is the u* evaluator of
 ``wncalc.legendre`` written one radius at a time, with ``bisect`` for the
-knot interval and Python floats for the cubic.  Each takes one Python float
+interval, of the knots or of the linear part below them, and Python floats
+for the arithmetic.  Each takes one Python float
 in (0, r_max] and returns a Python float.
 
 ``char_fn`` and ``poisson_char`` are the characteristic functionals of
@@ -90,22 +91,23 @@ def custom_table(points):
 
 
 class Hermite:
-    """log u* at one radius from the knots, the (4, n-1) cubic coefficient rows, the
-    first knot's radius and log u* there, as ``legendre.dual_weight`` keeps them: exp
-    of the cubic of log log u* at log r on the knot interval holding it, and below the
-    first knot linear in r down to u*(0) = 1."""
+    """log u* at one radius from the knots, the (4, n-1) cubic coefficient rows and the
+    (2, m) rows of radii and log u* below the first knot, as ``legendre.dual_weight``
+    keeps them: exp of the cubic of log log u* at log r on the knot interval holding
+    it, and below the first knot linear in r between those points."""
 
-    def __init__(self, knots: np.ndarray, coefficients: np.ndarray, r_lo: float,
-                 log_at_lo: float):
+    def __init__(self, knots: np.ndarray, coefficients: np.ndarray, below: np.ndarray):
         self.knots = knots.tolist()
         self.pieces = list(zip(*(row.tolist() for row in coefficients)))
-        self.r_lo, self.log_at_lo = r_lo, log_at_lo
+        self.below_r, self.below_v = (row.tolist() for row in below)
 
     def __call__(self, r: float) -> float:
         knots = self.knots
         x = math.log(r)
         if x < knots[0]:
-            return self.log_at_lo * (r / self.r_lo)
+            rp, vp = self.below_r, self.below_v
+            j = min(bisect.bisect_right(rp, r) - 1, len(rp) - 2)
+            return vp[j] + (vp[j + 1] - vp[j]) * ((r - rp[j]) / (rp[j + 1] - rp[j]))
         i = min(bisect.bisect_right(knots, x) - 1, len(knots) - 2)
         s = x - knots[i]
         c0, c1, c2, c3 = self.pieces[i]

@@ -41,6 +41,14 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["results"]["equivalence"]["verdict"] == "violated"
 
+    @pytest.mark.parametrize("argv", [["duality", "--nmax", "30"], ["chaos-bounds"]],
+                             ids=["duality", "chaos-bounds"])
+    def test_beta_past_one_half_gives_a_verdict(self, capsys, argv):
+        # the dual's maximizer at the first knots of u* lies below the solver's range
+        code, out = run_cli([*argv, "--family", "power_exp", "--beta", "0.55"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]
+
     def test_usage_error_exits_one(self, capsys):
         assert run(["no-such-subcommand"]) == 1
         assert run(["bell", "--order", "2"]) == 1  # missing --count

@@ -27,6 +27,7 @@ from wncalc.weights import (
     VIOLATED,
     WeightFunction,
     bell_weight,
+    custom_table,
     from_callable,
     power_exp,
 )
@@ -137,9 +138,9 @@ class TestDualFunction:
 class TestDualWeightOracle:
     """The materialized u* against the closed form, sharing no code with legendre."""
 
-    # measured worst errors: 2.7e-10, 4.8e-10 and 1.1e-9; the Hermite on 32
+    # measured worst errors: 2.7e-10, 4.8e-10, 1.1e-9 and 1.2e-9; the Hermite on 32
     # knots per decade is the accuracy floor this bound pins
-    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.55])
     def test_power_exp_dual_weight_matches_closed_form(self, beta):
         ustar = dual_weight(power_exp(beta))
         rs = np.geomspace(1e-6, 1e8, 2_001)
@@ -162,58 +163,132 @@ HERMITE_WEIGHTS = {
     "power_exp(0)": lambda: power_exp(0.0),
     "power_exp(0.3)": lambda: power_exp(0.3),
     "power_exp(0.5)": lambda: power_exp(0.5),
+    # the maximizer at the first knots lies below the solver's range, which gives
+    # log u* <= 0 there: the cubic starts at a later knot
+    "power_exp(0.55)": lambda: power_exp(0.55),
     "bell(1)": lambda: bell_weight(1),
     "bell(2)": lambda: bell_weight(2),
+    "bell(5)": lambda: bell_weight(5),
+    # u* has a kink wherever its maximizer jumps from one abscissa to the next,
+    # and the exact slopes there leave the Fritsch-Carlson region
+    "table(1 per decade)": lambda: custom_table(
+        [(r, 1.3 * r ** (1.0 / 1.3)) for r in np.logspace(-30, 30, 61).tolist()]),
+    # u(0) = e^0.5, so log u* < 0 up to r = 0.5
+    "table(u(0) > 1)": lambda: custom_table(
+        [(0.0, 0.5)] + [(r, 0.5 + r) for r in np.logspace(-12, 9, 43).tolist()]),
 }
 
 
 class TestHermiteDualWeight:
-    """u* is nondecreasing between and across the knots, and a build whose knot
-    values or slopes could give a non-monotone cubic is refused."""
+    """u* is nondecreasing between and across the knots, its slopes are scaled into
+    the Fritsch-Carlson region where the exact ones leave it, and a build from
+    knot values or maximizers that are not finite is refused."""
 
     @pytest.mark.parametrize("name", HERMITE_WEIGHTS)
     def test_dense_radii_give_a_nondecreasing_u_star(self, name):
-        ustar = dual_weight(HERMITE_WEIGHTS[name]())
-        knots = np.array([math.exp(x) for x in ustar._log_eval.args[0].tolist()])
+        u = HERMITE_WEIGHTS[name]()
+        ustar = dual_weight(u)
+        knots, _, below = ustar._log_eval.args
+        knots = np.concatenate((below[0, 1:], [math.exp(x) for x in knots.tolist()]))
         rs = np.sort(np.concatenate((
             np.geomspace(1e-12, 1e8, 200_001),
             knots[:-1], np.nextafter(knots[:-1], 0.0), np.nextafter(knots[:-1], np.inf),
         )))
         got = ustar.log_eval(rs)
-        assert np.isfinite(got).all() and (got > 0).all()
+        # u*(r) >= u*(0) = 1/u(0)
+        assert np.isfinite(got).all() and (got >= -math.log(u.u_at_zero)).all()
         assert (np.diff(got) >= 0).all()
 
     @staticmethod
-    def build_with(monkeypatch, log_value=None, arg_r=None, at=200):
-        """A default build of power_exp(0.3) whose batch returns log_value or arg_r at knot `at`."""
+    def build_with(monkeypatch, edit):
+        """A default u* build of power_exp(0.3) whose batch columns of knot values and
+        maximizers edit(values, maximizers) changes in place, and the unchanged columns."""
         solve = legendre.dual_function
+        batch = []
 
         def patched(u, rs):
             res = solve(u, rs)
+            batch.append(res)
             values, args = res.log_value.copy(), res.arg_r.copy()
-            if log_value is not None:
-                values[at] = log_value
-            if arg_r is not None:
-                args[at] = arg_r(args[at])
+            edit(values, args)
             return legendre.TransformResult(values, args, res.status)
 
         monkeypatch.setattr(legendre, "dual_function", patched)
-        return dual_weight(power_exp(0.3))
+        return dual_weight(power_exp(0.3)), batch[0]
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
-    def test_a_knot_value_not_finite_and_positive_is_refused(self, monkeypatch, value):
-        # at the first knot, where the nondecreasing clip cannot hide the value
-        message = (r"^log u\* of power_exp\(beta=0\.3\) at r=9\.99+\d*e-09 is \S+,"
-                   r" not finite and > 0$")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("column", [0, 1], ids=["value", "maximizer"])
+    def test_a_knot_value_or_maximizer_not_finite_is_refused(self, monkeypatch, column, bad):
+        def edit(*columns):
+            columns[column][200] = bad
+
+        message = (r"^log u\* of power_exp\(beta=0\.3\) at r=\S+ is \S+ with maximizer"
+                   r" s\*=\S+, not finite$")
         with pytest.raises(ValueError, match=message):
-            self.build_with(monkeypatch, log_value=value, at=0)
+            self.build_with(monkeypatch, edit)
 
-    @pytest.mark.parametrize("arg_r", [lambda s: 100.0 * s, lambda s: math.nan],
-                             ids=["steep", "nan"])
-    def test_slopes_failing_fritsch_carlson_are_refused(self, monkeypatch, arg_r):
-        # a slope 10 times the secant's gives alpha^2 + beta^2 > 9 on both sides of the knot
-        with pytest.raises(ValueError, match="fails the Fritsch-Carlson monotonicity condition"):
-            self.build_with(monkeypatch, arg_r=arg_r)
+    def test_fewer_than_two_knots_with_log_u_star_above_zero_are_refused(self, monkeypatch):
+        def edit(values, _):
+            values[:-1] = -1.0
+
+        message = (r"^log u\* of power_exp\(beta=0\.3\) is > 0 at fewer than two knots"
+                   r" in \[\S+, \S+\]$")
+        with pytest.raises(ValueError, match=message):
+            self.build_with(monkeypatch, edit)
+
+    def test_two_knots_with_log_u_star_above_zero_give_one_cubic(self, monkeypatch):
+        def edit(values, _):
+            values[:-2] = -1.0
+
+        ustar, _ = self.build_with(monkeypatch, edit)
+        assert len(ustar._log_eval.args[0]) == 2
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_leading_knot_values_not_above_zero_give_the_linear_part(self, monkeypatch, value):
+        def edit(values, _):
+            values[:100] = value
+
+        ustar, batch = self.build_with(monkeypatch, edit)
+        knots, _, (radii, logs) = ustar._log_eval.args
+        # the cubic starts at knot 100; below it u* climbs from 1, which it is up to knot 99
+        assert radii.tolist() == [0.0, *U_STAR_GRID[:101].tolist()]
+        assert knots[0] == math.log(radii[-1])
+        assert (logs[:-1] == 0.0).all() and logs[-1] > 0.0
+        assert (ustar.log_eval(np.geomspace(1e-12, radii[-2], 1_001)) == 0.0).all()
+
+    def test_steep_slopes_are_scaled_into_the_fritsch_carlson_region(self, monkeypatch):
+        def edit(_, maximizers):
+            maximizers[200] *= 100.0  # a slope 10 times the secant's at knot 200
+
+        plain = dual_weight(power_exp(0.3))
+        ustar, batch = self.build_with(monkeypatch, edit)
+        knots, coeffs, _ = ustar._log_eval.args
+        h = np.diff(knots)
+        c0, c1, d0 = coeffs[0], coeffs[1], coeffs[2]
+        d1 = (3.0 * c0 * h + 2.0 * c1) * h + d0  # the cubic's slope at the right knot
+        m = np.diff(np.log(batch.log_value)) / h
+        assert (d0 >= 0).all() and (d1 >= 0).all()
+        assert (d0 * d0 + d1 * d1 <= 9.0 * m * m * (1.0 + 1e-9)).all()
+        # the two slopes of the knot's intervals and their outer neighbours are scaled
+        changed = (coeffs != plain._log_eval.args[1]).any(axis=0)
+        assert np.flatnonzero(changed).tolist() == [198, 199, 200, 201]
+        rs = np.geomspace(math.exp(knots[198]), math.exp(knots[202]), 100_001)
+        assert (np.diff(ustar.log_eval(rs)) >= 0).all()
+
+    def test_a_flat_clipped_interval_is_constant(self, monkeypatch):
+        def edit(values, _):
+            values[201] = values[200] - 1e-3  # clipped to the value at knot 200
+
+        ustar, batch = self.build_with(monkeypatch, edit)
+        knots, coeffs, _ = ustar._log_eval.args
+        assert coeffs[:3, 200].tolist() == [0.0, 0.0, 0.0]
+        got = ustar.log_eval(np.geomspace(math.exp(knots[200]), math.exp(knots[201]), 1_001))
+        assert (got == got[0]).all()
+        assert got[0] == pytest.approx(batch.log_value[200], rel=1e-15)
+
+    def test_beta_past_one_half_gives_a_verdict(self):
+        # the first knots' maximizer r^((1+b)/(1-b)) lies below the solver's range
+        assert verify_dual_sequence(power_exp(0.55), 30).verdict == CONSISTENT
 
 
 class TestTable:
@@ -599,6 +674,8 @@ def _moved(values, up: bool) -> np.ndarray:
 # the 513 knots of a default u* build, 32 per decade, with libm's exp
 U_STAR_GRID = np.array([math.exp(x) for x in
                         np.linspace(math.log(legendre.DUAL_R_LO), math.log(1e8), 513).tolist()])
+# 4 097 radii over the same range, 256 per decade, for dense certificates of dual_function
+DUAL_CERT_GRID = np.exp(np.linspace(math.log(legendre.DUAL_R_LO), math.log(1e8), 4_097))
 
 
 class TestCertify:
@@ -616,10 +693,10 @@ class TestCertify:
     @pytest.mark.parametrize("name", [n for n in TestBatchSolver.WEIGHTS if not n.startswith("u*")])
     def test_dual_function_on_the_default_u_star_grid(self, name):
         u = TestBatchSolver.WEIGHTS[name]()
-        got = dual_function(u, U_STAR_GRID).log_value
-        assert certify(u, U_STAR_GRID, got, dual=True).all()
-        assert certify(u, U_STAR_GRID, _moved(got, up=True), dual=True).all()
-        assert not certify(u, U_STAR_GRID, _moved(got, up=False), dual=True).any()
+        got = dual_function(u, DUAL_CERT_GRID).log_value
+        assert certify(u, DUAL_CERT_GRID, got, dual=True).all()
+        assert certify(u, DUAL_CERT_GRID, _moved(got, up=True), dual=True).all()
+        assert not certify(u, DUAL_CERT_GRID, _moved(got, up=False), dual=True).any()
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
     def test_closed_forms(self, beta):

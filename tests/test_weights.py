@@ -179,10 +179,10 @@ class TestFloatTower:
             bell_weight(14)  # exp_13(0) leaves double range at its base
 
 
-def _u_star():
-    """A u*, the scalar u* kernel on its knots and coefficients, and a radius
-    below its first knot 1e-8, where u* is linear in r."""
-    ustar = dual_weight(power_exp(0.3), per_decade=16)
+def _u_star(beta):
+    """A u*, the scalar u* kernel on its knots, coefficients and linear part, and a
+    radius below the grid's lower end 1e-8, where u* is linear in r."""
+    ustar = dual_weight(power_exp(beta), per_decade=16)
     return ustar, scalar_kernels.Hermite(*ustar._log_eval.args), 1e-20
 
 
@@ -198,7 +198,9 @@ KERNELS = {
     "sqrt_log(3)": lambda: (sqrt_log_weight(3), scalar_kernels.sqrt_log(3), 1e-12),
     # below the first positive abscissa 0.5 the table is linear in r
     "custom_table": lambda: (custom_table(_TABLE), scalar_kernels.custom_table(_TABLE), 1e-6),
-    "u*": _u_star,
+    "u*": lambda: _u_star(0.3),
+    # log u* <= 0 at the first knots: the linear part runs through 14 of them
+    "u* with a linear part": lambda: _u_star(0.55),
 }
 
 
