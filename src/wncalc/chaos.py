@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
+import mpmath as mp
 import numpy as np
 
 from .legendre import dual_of, log_ell_sequence, log_factorial
@@ -27,7 +28,6 @@ from .weights import CONSISTENT, VIOLATED, WeightFunction
 ROLE_TEST = "test"
 ROLE_DISTRIBUTION = "distribution"
 
-HS_PARTIAL_TERMS = 1_000_000  # summed terms of the infinite HS series
 SAMPLE_SCALES = (0.5, 1.0, 2.0, 4.0)
 # bytes of one block: rows of a mode-product or monomial matrix, or the
 # coefficients of one chunk of a bound-check batch
@@ -50,8 +50,7 @@ def oscillator_eigenvalues(d: int) -> np.ndarray:
 def hs_norm_inclusion(q: float, p: float, d: int | None = None) -> float:
     """Squared Hilbert-Schmidt norm of the inclusion: sum_j (2j+2)^-(q-p).
 
-    d = None means the full series; a midpoint-rule tail integral brings
-    the truncation error below 1e-12.
+    d = None means the full series, 2^-s zeta(s) with s = q - p.
     """
     s = q - p
     if s <= 0:
@@ -60,10 +59,7 @@ def hs_norm_inclusion(q: float, p: float, d: int | None = None) -> float:
         return float(np.sum(oscillator_eigenvalues(d) ** (-s)))
     if s <= 1.0:
         raise ArithmeticError("series diverges for q - p <= 1 in infinite dimension")
-    head = float(np.sum(oscillator_eigenvalues(HS_PARTIAL_TERMS) ** (-s)))
-    # tail: 2^-s * sum_{k > K} k^-s, K = HS_PARTIAL_TERMS, with midpoint integral correction
-    tail = 2.0 ** (-s) * (HS_PARTIAL_TERMS + 0.5) ** (1.0 - s) / (s - 1.0)
-    return head + tail
+    return float(2**-s * mp.zeta(s))
 
 
 @dataclass(frozen=True)

@@ -397,10 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     seed = args.seed

@@ -2,8 +2,9 @@
 characteristic functionals, positive-definiteness Gram tests, and Monte
 Carlo integrability diagnostics.  A characteristic functional takes a
 (k, d) array of arguments and returns k values, so a Gram matrix is one
-call on its m^2 differences, and a grey one sums the series once per
-distinct |xi|^2.
+call on its m^2 differences, and a grey one is one Mittag-Leffler call on
+the array of distinct |xi|^2, whose extended-precision series share one
+table of Gamma(1 + lambda n).
 
 The grey-noise sampler uses the Gaussian scale-mixture representation
 x = sqrt(2) S^(-lambda/2) z with S a one-sided stable variable (Kanter's
@@ -105,44 +106,84 @@ def _ml_integral(lam: float, t: float) -> float:
         return float(val)
 
 
-def mittag_leffler(lam: float, t: float) -> float:
+def _ml_mp_series(lam: float, items: list) -> list:
+    """sum (-t)^n / Gamma(1 + lam n) for each (t, peak digits) in ``items``.
+
+    Each t sums at its own dps, sized to its largest term, and all of them
+    share one table of Gamma(1 + lam n), computed at the largest of their
+    dps and grown as n grows.
+    """
+    top = 30 + int(max(peak for _, peak in items)) + 1
+    lam_mp = mp.mpf(lam)
+    gammas = []
+    out = []
+    for t, peak_digits in items:
+        dps = 30 + int(peak_digits) + 1
+        with mp.workdps(dps):
+            total = mp.mpf(0)
+            term_floor = mp.mpf(10) ** (-dps + 10)
+            neg_t = -mp.mpf(t)
+            power = mp.mpf(1)  # (-t)^n
+            n = 0
+            while True:
+                if n == len(gammas):
+                    with mp.workdps(top):
+                        gammas.append(mp.gamma(1 + lam_mp * n))
+                term = power / gammas[n]
+                total += term
+                power *= neg_t
+                n += 1
+                if n > 8 and abs(term) < term_floor:
+                    break
+                if n > 200000:
+                    raise ArithmeticError("Mittag-Leffler series failed to settle")
+            out.append(float(total))
+    return out
+
+
+def mittag_leffler(lam: float, t):
     """L_lam(t) = sum (-t)^n / Gamma(1 + lam n), for 0 < lam <= 1, t >= 0.
 
-    Alternating summation in extended precision sized to the largest term;
-    when cancellation would need more than ~120 digits the completely
-    monotone integral representation takes over.
+    ``t`` is a float, giving a float, or a 1-D array, giving a float64 array
+    of the same length.  Each t is summed on its own: alternating summation
+    in extended precision sized to the largest term, in doubles while that
+    term has at most 3 digits, and when cancellation would need more than
+    ~120 digits the completely monotone integral representation takes over.
+    The extended-precision sums of one call share one table of
+    Gamma(1 + lam n), which lives as long as the call.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must be in (0, 1]")
-    if not t >= 0:  # NaN too: the series would never stop
+    arr = np.asarray(t, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError("t must be a float or a 1-D array")
+    if not np.all(arr >= 0):  # NaN too: the series would never stop
         raise ValueError("t must be >= 0")
-    if t > ML_T_MAX:
-        raise ValueError(f"t={t} beyond configured range {ML_T_MAX}")
-    if t == 0.0:
-        return 1.0
-    if lam == 1.0:
-        return math.exp(-t)
-    peak_digits = _ml_series_peak_log(lam, t) / math.log(10.0)
-    if peak_digits <= 3.0:
-        return _ml_float_series(lam, t)
-    if peak_digits > _ML_SERIES_DIGIT_CAP - 30:
-        return _ml_integral(lam, t)
-    dps = 30 + int(peak_digits) + 1
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        term_floor = mp.mpf(10) ** (-dps + 10)
-        lam_mp = mp.mpf(lam)
-        n = 0
-        while True:
-            term = (-mp.mpf(t)) ** n / mp.gamma(1 + lam_mp * n)
-            total += term
-            n += 1
-            if n > 8 and abs(term) < term_floor:
-                break
-            if n > 200000:
-                raise ArithmeticError("Mittag-Leffler series failed to settle")
-        out = float(total)
-    return out
+    over = arr[arr > ML_T_MAX]
+    if over.size:
+        raise ValueError(f"t={over[0]} beyond configured range {ML_T_MAX}")
+    ts = arr.reshape(-1).tolist()
+    out = [1.0] * len(ts)
+    series = {}  # index -> (t, peak digits) of the t summed by _ml_mp_series
+    for i, s in enumerate(ts):
+        if s == 0.0:
+            continue
+        if lam == 1.0:
+            out[i] = math.exp(-s)
+            continue
+        peak_digits = _ml_series_peak_log(lam, s) / math.log(10.0)
+        if peak_digits <= 3.0:
+            out[i] = _ml_float_series(lam, s)
+        elif peak_digits > _ML_SERIES_DIGIT_CAP - 30:
+            out[i] = _ml_integral(lam, s)
+        else:
+            series[i] = (s, peak_digits)
+    if series:
+        for i, v in zip(series, _ml_mp_series(lam, list(series.values()))):
+            out[i] = v
+    if arr.ndim == 0:
+        return out[0]
+    return np.array(out)
 
 
 def poisson_char(xi, intensity: float):
@@ -209,7 +250,7 @@ class MeasureModel:
             raise ValueError("d must be >= 1")
 
     def char_fn(self, xi) -> np.ndarray:
-        """C(xi) at each row of the (k, d) array xi; grey sums L_lam once per distinct |xi|^2."""
+        """C(xi) at each row of the (k, d) array xi; grey: one L_lam call on all distinct |xi|^2."""
         xi = np.asarray(xi, dtype=float)
         if self.kind == KIND_POISSON:
             return poisson_char(xi, self.intensity)
@@ -217,7 +258,7 @@ class MeasureModel:
         if self.kind == KIND_GAUSSIAN:
             return libm_map(math.exp, -0.5 * t)
         ts, at = np.unique(t, return_inverse=True)
-        return np.array([mittag_leffler(self.lam, s) for s in ts.tolist()])[at]
+        return mittag_leffler(self.lam, ts)[at]
 
 
 def _stable_one_sided(lam: float, size: int, rng) -> np.ndarray:

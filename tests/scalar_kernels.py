@@ -12,7 +12,8 @@ in (0, r_max] and returns a Python float.
 ``char_fn`` and ``poisson_char`` are the characteristic functionals of
 ``wncalc.measures`` at one argument xi, as they were before they took a
 (k, d) array, with the grey model's per-model memo of L_lam(t) dropped:
-it kept values, never changed one.
+it kept values, never changed one.  The grey one evaluates L_lam(t) with the
+frozen scalar ``ml_oracle.mittag_leffler``, not with ``wncalc``'s.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 
 import numpy as np
 
+import ml_oracle
 from wncalc import measures
 
 _LEVEL_DOWN_CAP = 700.0
@@ -127,5 +129,5 @@ def char_fn(model, xi):
         return math.exp(-0.5 * float(np.sum(xi * xi)))
     if model.kind == measures.KIND_GREY:
         t = float(np.sum(xi * xi))
-        return measures.mittag_leffler(model.lam, t)
+        return ml_oracle.mittag_leffler(model.lam, t)
     return poisson_char(xi, model.intensity)

@@ -311,8 +311,9 @@ class TestBounds:
         assert hs_norm_inclusion(2.0, 0.0, d=6) == pytest.approx(want, rel=1e-14)
 
     def test_hs_norm_infinite_series(self):
-        # sum (2j+2)^-2 = zeta(2)/4 = pi^2/24
-        assert hs_norm_inclusion(2.0, 0.0) == pytest.approx(math.pi**2 / 24, abs=1e-11)
+        # sum (2j+2)^-s = 2^-s zeta(s): pi^2/24 at s = 2, zeta(3)/8 at s = 3
+        assert hs_norm_inclusion(2.0, 0.0) == pytest.approx(math.pi**2 / 24, rel=1e-15)
+        assert hs_norm_inclusion(3.5, 0.5) == pytest.approx(1.2020569031595942 / 8, rel=1e-15)
         with pytest.raises(ArithmeticError):
             hs_norm_inclusion(1.0, 0.0)
 

@@ -1,10 +1,12 @@
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+from wncalc import cli
 from wncalc.cli import run
 
 
@@ -266,6 +268,32 @@ def test_cli_import_needs_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+class TestParser:
+    """The argument parser is built once per process, at import."""
+
+    def test_run_does_not_build_a_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("build_parser called by run")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out = run_cli(["bell", "--order", "2", "--count", "6"], capsys)
+        assert code == 0
+        assert out.split() == ["1", "1", "2", "5", "15", "52"]
+
+    def test_usage_error_leaves_the_next_run_fresh(self, capsys, monkeypatch):
+        # the refused argv sets flags of the same subcommand before its error
+        argv = ["positive-definite", "--model", "gaussian", "--points", "6", "--sets", "1"]
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+        env = {k: v for k, v in os.environ.items() if k != cli.ENV_SEED}
+        fresh = subprocess.run([sys.executable, "-m", "wncalc.cli", *argv],
+                               capture_output=True, text=True, timeout=120, env=env)
+        assert fresh.returncode == 0, fresh.stderr
+        assert run(["positive-definite", "--dim", "3", "--seed", "5", "--tol", "0.5",
+                    "--model", "martian"]) == 1
+        capsys.readouterr()
+        assert run_cli(argv, capsys) == (0, fresh.stdout)
 
 
 class TestClassify:

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import special
 
+import ml_oracle
 import scalar_kernels
 from wncalc import measures
 from wncalc.measures import (
@@ -65,6 +67,57 @@ class TestMittagLeffler:
         # NaN passes a `t < 0` test, and the float series never ends on it
         with pytest.raises(ValueError, match="t must be >= 0"):
             mittag_leffler(0.5, math.nan)
+
+
+def gram_t_sets(seed: int, sets: int) -> list:
+    """The distinct |xi_j - xi_k|^2 of each Gram check of ``positive-definite
+    --points 8 --dim 6 --seed SEED``; the first set is verify-all's."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(sets):
+        pts = rng.standard_normal((8, 6)) / math.sqrt(6)
+        diffs = (pts[:, None, :] - pts[None, :, :]).reshape(64, -1)
+        out.append(np.unique(np.sum(diffs * diffs, axis=1)))
+    return out
+
+
+# both Gram t-sets of the CLI at seed 0 for three lambdas, verify-all's sets at
+# seeds 0-4, and TestMittagLeffler's t values with the lambda = 0.3 grid cut to
+# t < 6: its larger t all take the unchanged integral at about 0.3 s each
+ML_ARRAY_CASES = (
+    [(lam, ts) for lam in (0.3, 0.4, 0.5) for ts in gram_t_sets(0, 2)]
+    + [(0.5, gram_t_sets(seed, 1)[0]) for seed in range(5)]
+    + [(1.0, np.array([0.0, 0.5, 3.0, 20.0])), (0.5, np.array([0.1, 1.0, 4.0, 10.0])),
+       (0.3, np.linspace(0.0, 30.0, 40)[:8]), (0.7, np.linspace(0.0, 30.0, 40))]
+)
+
+
+class TestMittagLefflerArray:
+    """One call on an array of t: the series share one Gamma(1 + lam n) table."""
+
+    def test_array_matches_the_frozen_oracle_bit_for_bit(self):
+        for lam, ts in ML_ARRAY_CASES:
+            got = mittag_leffler(lam, ts)
+            want = np.array([ml_oracle.mittag_leffler(lam, t) for t in ts.tolist()])
+            assert got.dtype == np.float64 and got.shape == ts.shape
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), lam
+
+    def test_array_equals_per_element_calls(self):
+        ts = np.array([2.5, 0.0, 1e-3, 4.0, 2.5, 0.7])
+        got = mittag_leffler(0.35, ts)
+        want = [mittag_leffler(0.35, t) for t in ts.tolist()]
+        assert all(type(v) is float for v in want)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("bad, message", [(math.nan, "t must be >= 0"),
+                                              (-1.0, "t must be >= 0"),
+                                              (51.0, "t=51.0 beyond configured range 50.0")])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_bad_element_anywhere_is_refused(self, bad, message, at):
+        ts = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+        ts[at] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mittag_leffler(0.5, ts)
 
 
 class TestCharacteristicFunctionals:
@@ -132,7 +185,7 @@ class TestGreyMemo:
         true_ml = measures.mittag_leffler
 
         def counting(lam, t):
-            calls.append((lam, t))
+            calls.append((lam, t.tolist()))
             return true_ml(lam, t)
 
         monkeypatch.setattr(measures, "mittag_leffler", counting)
@@ -144,8 +197,10 @@ class TestGreyMemo:
         want = reference_gram_report(model, pts)
         calls = self.count_calls(monkeypatch)
         got = check_positive_definite(model.char_fn, pts)
-        # t = 0 on the diagonal and one t per pair j < k, against 64 Gram entries
-        assert len(calls) == len(set(calls)) == 1 + 8 * 7 // 2
+        # one array call, holding t = 0 of the diagonal and one t per pair j < k,
+        # against 64 Gram entries
+        [(lam, ts)] = calls
+        assert lam == 0.5 and len(ts) == len(set(ts)) == 1 + 8 * 7 // 2
         assert got == want
 
 
