@@ -29,12 +29,10 @@ from .weights import (
 )
 from .legendre import (
     EquivalenceReport,
-    LegendreTable,
     TransformResult,
     UnboundedError,
     dual_function,
     dual_weight,
-    legendre_table,
     legendre_transform,
     log_factorial,
     seq_equivalent,

@@ -116,10 +116,14 @@ def _cmd_classify(args, seed):
 def _cmd_legendre(args, seed):
     u, cfg = _weight_from_args(args)
     t_grid = [float(t) for t in range(args.nmax + 1)]
-    table = legendre.legendre_table(u, t_grid)
+    res = legendre.legendre_transform(u, t_grid)
+    table = {"t_grid": t_grid, "log_ell": res.log_value.tolist(), "argmin_r": res.arg_r.tolist(),
+             "optimizer_status": res.status.tolist()}
     if args.csv:
-        return {"csv": table.to_csv()}, cfg
-    return {"weight": _jsonable(u), "table": _jsonable(table)}, cfg
+        lines = [f"{t!r},{math.exp(v) if v < 700 else math.inf!r},{r!r},{s}\n"
+                 for t, v, r, s in zip(*table.values())]
+        return {"csv": "".join(["t,ell,argmin_r,status\n", *lines])}, cfg
+    return {"weight": _jsonable(u), "table": table}, cfg
 
 
 def _cmd_dual(args, seed):

@@ -16,10 +16,10 @@ for bit what one solve per argument gives.  ``certify`` checks such values by
 a brute-force minimum of the same rows on a dense grid (Lucet, 1997).
 
 ``dual_weight`` builds u* when it is called: one ``dual_function`` batch on
-32 knots per decade of log r, clipped to be nondecreasing, and a cubic
-Hermite interpolant of log log u* in log r on the slopes the envelope theorem
-gives, d log u*/d log r = sqrt(r s*) with s* the maximizer the batch returns,
-so that transforms of transforms (the dual-sequence relation) stay
+32 knots per decade of r in [1e-8, 1e8], clipped to be nondecreasing, and a
+cubic Hermite interpolant of log log u* in log r on the slopes the envelope
+theorem gives, d log u*/d log r = sqrt(r s*) with s* the maximizer the batch
+returns, so that transforms of transforms (the dual-sequence relation) stay
 tractable.  Slopes outside the Fritsch-Carlson region (SIAM J. Numer. Anal.
 17, 1980) are scaled into it, so the interpolant is monotone between the
 knots; below the first knot with log u* > 0, u* is linear in r.  The returned
@@ -28,12 +28,11 @@ that linear part, never u.  The u* kernel takes log r and exp per element
 through libm and finds each interval by ``searchsorted``, so no Python frame
 runs per radius.
 
-``dual_of(u)`` is the one u* of a weight object: the default-grid
-``dual_weight(u)``, kept on u once built, so the dual-sequence check and the
-distribution-side chaos bounds grade against the same u*; a custom grid is
-not memoized.  Likewise ``log_ell_sequence(u, n)`` keeps the longest
-log ell_u(0..n) computed so far on u, and every sequence check and chaos
-norm reads a prefix of it.
+``dual_of(u)`` is the one u* of a weight object: ``dual_weight(u)``, kept on
+u once built, so the dual-sequence check and the distribution-side chaos
+bounds grade against the same u*.  Likewise ``log_ell_sequence(u, n)`` keeps
+the longest log ell_u(0..n) computed so far on u, and every sequence check
+and chaos norm reads a prefix of it.
 """
 
 from __future__ import annotations
@@ -56,7 +55,8 @@ from .weights import (
 )
 
 _Y_LO = math.log(1e-24)
-DUAL_R_LO = 1e-8  # lower end of the materialized u* grid
+DUAL_R_LO, DUAL_R_MAX = 1e-8, 1e8  # ends of the materialized u* grid
+DUAL_PER_DECADE = 32  # u* knots per decade of r
 CERT_POINTS = 2**13  # grid points of a certificate on the solver's range of y = log r
 CERT_TOL = 1e-9  # relative round-off slack of a certificate
 _BLOCK = 128  # objective rows built at a time: all 4 097 scan rows at once add ~8 MB of peak RSS
@@ -82,26 +82,23 @@ class TransformResult:  # floats and a str at a scalar argument, columns at a 1-
             (other.log_value, other.arg_r, other.status)))
 
 
-def _safe_log_eval(u: WeightFunction, r):
-    """log u(r) at a float or a 1-D array, with an overflow of log u read as +inf:
-    harmless for the infimum, and it steers the dual's maximization away from it."""
+def _safe_log_eval(u: WeightFunction, r: np.ndarray) -> np.ndarray:
+    """log u at the 1-D array r, with an overflow of log u read as +inf: harmless for
+    the infimum, and it steers the dual's maximization away from it.  An array that
+    overflows is halved down to single elements, so the elements that do not overflow
+    still reach the kernel in a few calls, with the bits of one call per element."""
     try:
         return u.log_eval(r)
     except (OverflowError, PrecisionError):
-        if type(r) is not np.ndarray:
-            return math.inf
-        if len(r) == 1:  # a one-element array overflows where its scalar call does
+        if len(r) == 1:
             return np.array([math.inf])
-        # halves until single elements, so the elements that do not overflow still
-        # reach the kernel in a few calls, with the bits of the element-by-element path
         k = len(r) // 2
         return np.concatenate((_safe_log_eval(u, r[:k]), _safe_log_eval(u, r[k:])))
 
 
 def _log_u(u: WeightFunction, y: np.ndarray) -> np.ndarray:
-    """log u(e^y), with e^y through libm (np.exp differs) and clamped to r_max as log_eval
-    clamps it, so the round-off of exp(log r_max) keeps the array on the kernel path."""
-    return _safe_log_eval(u, np.minimum(libm_map(math.exp, y), u.r_max))
+    """log u(e^y), with e^y through libm (np.exp differs)."""
+    return _safe_log_eval(u, libm_map(math.exp, y))
 
 
 def _objective(p: np.ndarray, y: np.ndarray, logs: np.ndarray, dual: bool) -> np.ndarray:
@@ -177,20 +174,20 @@ def _dual_log_eval(knots: np.ndarray, coeffs: np.ndarray, below: np.ndarray,
     return out
 
 
-def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 32) -> WeightFunction:
+def dual_weight(u: WeightFunction) -> WeightFunction:
     """u* by cubic Hermite interpolation through one dual_function batch on the knots
-    x = log r, per_decade of them per decade of [DUAL_R_LO, r_max].
+    x = log r, DUAL_PER_DECADE of them per decade of [DUAL_R_LO, DUAL_R_MAX].
 
     The interpolated function is g = log log u*, with the exact slope
     dg/dx = sqrt(r s*) / log u* at each knot: the envelope theorem gives
     d log u*/d log r = sqrt(r s*) for the maximizer s*, which the batch returns.
     g needs log u* > 0, so the cubic starts at the first knot where it is; below
     that knot u* is linear in r through the knot values, down to u*(0) = 1/u(0).
-    A knot value or maximizer that is not finite raises ValueError, as does a
-    grid with fewer than two knots where log u* > 0.
+    A knot value or maximizer that is not finite raises ValueError, as does
+    log u* > 0 at fewer than two knots.
     """
-    n = max(2, int(round(per_decade * math.log10(r_max / DUAL_R_LO))) + 1)
-    x = np.linspace(math.log(DUAL_R_LO), math.log(r_max), n)
+    n = int(round(DUAL_PER_DECADE * math.log10(DUAL_R_MAX / DUAL_R_LO))) + 1
+    x = np.linspace(math.log(DUAL_R_LO), math.log(DUAL_R_MAX), n)
     rs = libm_map(math.exp, x)
     res = dual_function(u, rs)
     finite = np.isfinite(res.log_value) & np.isfinite(res.arg_r)
@@ -224,18 +221,14 @@ def dual_weight(u: WeightFunction, r_max: float = 1e8, per_decade: int = 32) -> 
     return WeightFunction(
         name=f"dual({u.name})",
         _log_eval=functools.partial(_dual_log_eval, x[first:], coeffs, below),
-        r_max=r_max,
+        r_max=DUAL_R_MAX,
         params={"dual_of": u.name, **{f"base_{k}": v for k, v in u.params.items()}},
         u_at_zero=1.0 / u.u_at_zero,
     )
 
 
 def dual_of(u: WeightFunction) -> WeightFunction:
-    """The default-grid u* of this weight object, built once and kept on u.
-
-    Only ``dual_weight(u)`` with its default grid is memoized here; call
-    ``dual_weight`` directly for a custom grid (that result is not kept).
-    """
+    """The u* of this weight object, ``dual_weight(u)`` built once and kept on u."""
     ustar = u._memo.get("dual")
     if ustar is None:
         ustar = u._memo["dual"] = dual_weight(u)
@@ -252,27 +245,7 @@ def log_ell_sequence(u: WeightFunction, n_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tables and certificates
-
-
-@dataclass(frozen=True)
-class LegendreTable:
-    t_grid: list[float]
-    log_ell: list[float]
-    argmin_r: list[float]
-    optimizer_status: list[str]
-
-    def to_csv(self) -> str:
-        lines = ["t,ell,argmin_r,status"]
-        for t, v, r, s in zip(self.t_grid, self.log_ell, self.argmin_r, self.optimizer_status):
-            lines.append(f"{t!r},{math.exp(v) if v < 700 else math.inf!r},{r!r},{s}")
-        return "\n".join(lines) + "\n"
-
-
-def legendre_table(u: WeightFunction, t_grid: Sequence[float]) -> LegendreTable:
-    res = legendre_transform(u, t_grid)
-    return LegendreTable(t_grid=[float(t) for t in t_grid], log_ell=res.log_value.tolist(),
-                         argmin_r=res.arg_r.tolist(), optimizer_status=res.status.tolist())
+# certificates
 
 
 def certify(u: WeightFunction, args, values, dual: bool = False) -> np.ndarray:

@@ -59,7 +59,9 @@ _ML_SERIES_DIGIT_CAP = 120  # beyond this the alternating series is hopeless
 
 
 def _ml_series_peak_log(lam: float, t: float) -> float:
-    """Natural log of the largest term t^n/Gamma(1+lam n), found by scan."""
+    """Natural log of the largest term t^n/Gamma(1+lam n), found by scan.  The scan
+    stops at the first term past _ML_SERIES_DIGIT_CAP - 30 digits: mittag_leffler
+    takes the integral for such a t whatever its exact peak."""
     logt = math.log(t)
     best = 0.0
     n = 1
@@ -67,6 +69,8 @@ def _ml_series_peak_log(lam: float, t: float) -> float:
         v = n * logt - math.lgamma(1.0 + lam * n)
         if v > best:
             best = v
+            if best / math.log(10.0) > _ML_SERIES_DIGIT_CAP - 30:  # the caller's test
+                break
         elif v < best - 60.0:
             break
         n += 1
@@ -364,9 +368,11 @@ def _batch_verdict(batch_means: np.ndarray) -> tuple[str, float]:
 
 def _run_batches(model: MeasureModel, n: int, stat, threads: int = 1) -> list:
     """stat(draws) per batch, once a grey model's sampler passes validate_sampler."""
+    if n < N_BATCHES:
+        raise ValueError(f"need at least N_BATCHES={N_BATCHES} samples, one per batch, got {n}")
     if model.kind == KIND_GREY:
         validate_sampler(model, n=min(n, 100_000))
-    batch = max(1, n // N_BATCHES)
+    batch = n // N_BATCHES
     seeds = np.random.SeedSequence(model.sampler_seed).spawn(N_BATCHES)
 
     def worker(seed_seq):

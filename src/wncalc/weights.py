@@ -7,13 +7,15 @@ overflow.  Iterated exponentials are evaluated in floats; a value past a
 double raises :class:`PrecisionError`.
 
 Each weight holds one kernel: a function from a float64 1-D array of radii
-in (0, r_max], already checked by ``log_eval``, to the array of their
-``log u``.  libm functions (exp, log, pow) are applied per element through
-C-level maps (:func:`libm_map`), because numpy's own exp and power differ
-from libm in the last bit; numpy does only the IEEE operations (+, -, *, /,
-sqrt, comparisons) and the table lookups.  So a value is bit for bit the
-scalar expression's, and no Python frame runs per radius.
-:func:`from_callable` lifts a scalar log evaluator into such a kernel.
+in (0, r_max] to the array of their ``log u``.  ``log_eval`` takes a number
+or a 1-D array, settles r = 0, the round-off band past r_max and the domain
+rule with array masks, and calls the kernel once.  libm functions
+(exp, log, pow) are applied per element through C-level maps
+(:func:`libm_map`), because numpy's own exp and power differ from libm in
+the last bit; numpy does only the IEEE operations (+, -, *, /, sqrt,
+comparisons) and the table lookups.  So a value is bit for bit the scalar
+expression's, and no Python frame runs per radius.  :func:`from_callable`
+lifts a scalar log evaluator into such a kernel.
 
 Class-membership checks (divergence of ``log u(r)/log r``,
 ``log u(r)/sqrt(r)``, boundedness of ``log u(r)/r`` and convexity of
@@ -35,7 +37,6 @@ CONSISTENT = "consistent"
 VIOLATED = "violated"
 
 _LEVEL_DOWN_CAP = 700.0  # exp(700) is representable; one more level is not
-_NDARRAY = np.ndarray  # a global, not an attribute lookup, on the scalar hot path
 
 DEFAULT_GRID_POINTS = 64
 DEFAULT_R_MIN = 1e-2
@@ -104,24 +105,30 @@ class WeightFunction:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def log_eval(self, r: float | np.ndarray) -> float | np.ndarray:
-        """log u(r) as a Python float; at a 1-D array, the scalar path at each element.
-        A float64 array whose every element passes the in-range test goes to the kernel
-        in one call; a scalar goes to it as a one-element array."""
-        if type(r) is _NDARRAY:  # not isinstance: a scalar call costs one more test
-            if r.ndim != 1:
-                raise ValueError(f"{self.name}: log_eval takes a 1-D array, got {r.ndim}-D")
-            if r.dtype == np.float64 and ((0.0 < r) & (r <= self.r_max)).all():
-                return self._log_eval(r)
-            return np.fromiter(map(self.log_eval, r.tolist()), float, len(r))
-        if not 0.0 < r <= self.r_max:  # the in-range case takes one test
-            if r < 0:
-                raise DomainError(f"{self.name}: r={r} is negative")
-            if r > self.r_max * (1.0 + 1e-9):  # exp(log r_max) round-trip noise is tolerated
-                raise DomainError(f"{self.name}: r={r} exceeds r_max={self.r_max}")
-            if r == 0:
-                return math.log(self.u_at_zero)
-            r = min(r, self.r_max)
-        return self._log_eval(np.array([r], dtype=float)).item()
+        """log u(r) at a number, as a Python float, or at each element of a 1-D array.
+
+        r = 0 gives log u(0), and r up to 1e-9 relative past r_max (the round-off of
+        exp(log r_max)) reads as r_max.  The other radii, NaN included, go to the kernel
+        in one call.  A negative r, or one past that band, raises DomainError after the
+        radii before it have gone to the kernel, so the first bad element raises.
+        """
+        scalar = not isinstance(r, np.ndarray)
+        if not scalar and r.ndim != 1:
+            raise ValueError(f"{self.name}: log_eval takes a 1-D array, got {r.ndim}-D")
+        x = np.array([float(r)]) if scalar else r.astype(float, copy=False)
+        if ((0.0 < x) & (x <= self.r_max)).all():  # the in-range case takes one test
+            out = self._log_eval(x)
+        else:
+            bad = (x < 0) | (x > self.r_max * (1.0 + 1e-9))
+            k = int(np.argmax(bad)) if bad.any() else len(x)
+            y = np.minimum(x[:k], self.r_max)  # NaN stays NaN
+            out = np.full(k, math.log(self.u_at_zero))
+            out[y != 0] = self._log_eval(y[y != 0])
+            if k < len(x):
+                v = r if scalar else r[k].item()
+                raise DomainError(f"{self.name}: r={v} is negative" if x[k] < 0
+                                  else f"{self.name}: r={v} exceeds r_max={self.r_max}")
+        return out.item() if scalar else out
 
     def __repr__(self):  # params carry the identity; the callable does not
         return f"WeightFunction({self.name!r}, params={self.params}, r_max={self.r_max})"

@@ -13,13 +13,15 @@ here reads a scan that ``wncalc.legendre`` computed.  ``log u`` of a
 ``power_exp`` or Bell weight comes from the frozen kernels of
 ``scalar_kernels``, a Python call per radius rather than a one-element array
 through ``WeightFunction.log_eval``; other weights go through
-``legendre._safe_log_eval``.
+``legendre._safe_log_eval`` one radius at a time, as a one-element array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 import scalar_kernels
 from wncalc import legendre
@@ -124,7 +126,7 @@ def _scalar_log_u(u):
     elif family == "bell":
         kernel = scalar_kernels.bell(u.params["k"])
     else:
-        return lambda r: legendre._safe_log_eval(u, r)
+        return lambda r: legendre._safe_log_eval(u, np.array([r])).item()
 
     def log_u(r: float) -> float:
         try:

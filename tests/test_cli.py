@@ -105,6 +105,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("samples", ["0", "3", "7"])
+    def test_fewer_samples_than_batches_exit_one_with_one_line(self, capsys, samples):
+        argv = ["integrability", "--model", "gaussian", "--dim", "4", "--samples", samples,
+                "--seed", "0"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need at least N_BATCHES=8 samples, one per batch, got {samples}\n"
+
     def test_tower_overflow_exits_one_with_one_line(self, capsys):
         assert run(["classify", "--family", "bell", "--order", "14"]) == 1
         captured = capsys.readouterr()
@@ -354,6 +363,7 @@ class TestReports:
         assert code == 0
         csv = json.loads(out)["results"]["csv"]
         assert csv.startswith("t,ell,argmin_r,status\n")
+        assert len(csv.splitlines()) == 5  # the header and t = 0 .. 3
 
     def test_seed_flag_and_env_default(self, capsys, monkeypatch):
         _, out = run_cli(["classify", "--seed", "11"], capsys)

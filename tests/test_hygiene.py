@@ -31,24 +31,13 @@ SCALE_LOOPS = {"lattice"}
 
 
 def looped_calls(source: str, name: str) -> list[int]:
-    """Lines where a loop or comprehension calls ``name``, as a method or a bare name.
-
-    A method of that name is left out of its own check: an in-range array
-    goes to the ``WeightFunction.log_eval`` kernel in one call, and its
-    array branch is the one place that maps the scalar path over elements,
-    for arrays holding r = 0, an r past r_max or a non-float64 dtype.
-    """
+    """Lines where a loop or comprehension calls ``name``, as a method or a bare name,
+    a method of that name included."""
     tree = ast.parse(source)
-    own = set()
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef):
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == name:
-                    own.update(map(id, ast.walk(fn)))
     loops = [n for n in ast.walk(tree) if isinstance(n, LOOPS)
              and not (isinstance(n, ast.For) and ast.unparse(n.iter) in SCALE_LOOPS)]
     return sorted({node.lineno for loop in loops for node in ast.walk(loop)
-                   if isinstance(node, ast.Call) and id(node) not in own
+                   if isinstance(node, ast.Call)
                    and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))})
 
 
@@ -88,7 +77,7 @@ def gram(model, pts, char_fn):
     G = [[char_fn(a - b) for b in pts] for a in pts]
     return G, [model.char_fn(xi) for xi in pts]
 """
-    assert looped_calls(source, "log_eval") == [8, 11, 12]
+    assert looped_calls(source, "log_eval") == [4, 8, 11, 12]
     assert looped_calls(source, "char_fn") == [16, 17]
 
 

@@ -109,6 +109,20 @@ class TestMittagLefflerArray:
         assert all(type(v) is float for v in want)
         assert got.tolist() == want
 
+    def test_peak_scan_stops_at_the_integral_cutoff(self):
+        # past 90 digits mittag_leffler takes the integral whatever the exact peak,
+        # which at this point has 25 642 digits
+        digits = measures._ml_series_peak_log(0.1, 3.0) / math.log(10.0)
+        assert 90.0 < digits < 200.0
+
+    def test_peak_scan_keeps_the_oracle_route(self):
+        cut = measures._ML_SERIES_DIGIT_CAP - 30
+        for lam in (0.3, 0.5, 0.9):
+            for t in (0.5, 3.0, 10.0, 30.0):
+                got = measures._ml_series_peak_log(lam, t) / math.log(10.0)
+                want = ml_oracle._ml_series_peak_log(lam, t) / math.log(10.0)
+                assert got == want if want <= cut else cut < got <= want, (lam, t)
+
     @pytest.mark.parametrize("bad, message", [(math.nan, "t must be >= 0"),
                                               (-1.0, "t must be >= 0"),
                                               (51.0, "t=51.0 beyond configured range 50.0")])
@@ -324,6 +338,27 @@ class TestIntegrability:
         r8 = integrability_check(m, u, p=1.0, n=20_000, threads=8)
         assert r1.batch_means == r8.batch_means
         assert r1.estimate == r8.estimate
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_fewer_samples_than_batches_are_refused_before_any_draw(self, n, monkeypatch):
+        from wncalc.chaos import FiniteGaussianModel, chaos_vector
+
+        draws = []
+        monkeypatch.setattr(measures, "sample", lambda *a: draws.append(a))
+        m = MeasureModel(kind="gaussian", d=4, sampler_seed=0)
+        message = f"^need at least N_BATCHES=8 samples, one per batch, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            integrability_check(m, power_exp(0.5), p=1.0, n=n)
+        with pytest.raises(ValueError, match=message):
+            ls_inclusion_check(m, chaos_vector(FiniteGaussianModel(d=4, N=1), {(0, 0, 0, 0): 1.0}),
+                               s_list=[1.0], n=n)
+        assert draws == []
+
+    def test_one_sample_per_batch_is_graded(self):
+        m = MeasureModel(kind="gaussian", d=4, sampler_seed=0)
+        rep = integrability_check(m, from_callable("one", lambda r: 0.0, r_max=1e30), p=1.0,
+                                  n=measures.N_BATCHES)
+        assert rep.batch_means == [1.0] * measures.N_BATCHES
 
     def test_batch_verdict_grading(self):
         assert measures._batch_verdict(np.ones(8))[0] == "converged"

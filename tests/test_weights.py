@@ -63,7 +63,7 @@ class TestArrayContract:
         lambda: sqrt_log_weight(3),
         lambda: custom_table(_TABLE),
         lambda: from_callable("kinked", _kinked, r_max=50.0),
-        lambda: dual_weight(power_exp(0.3), per_decade=16),
+        lambda: dual_weight(power_exp(0.3)),
     ], ids=["power_exp(0.7)", "power_exp(0)", "bell(1)", "bell(2)", "bell(3)",
             "sqrt_log(2)", "sqrt_log(3)", "custom_table", "kinked", "u*"])
     def test_array_equals_the_scalar_calls_bit_for_bit(self, make):
@@ -100,11 +100,11 @@ class TestArrayContract:
         lambda: bell_weight(2),
         lambda: custom_table(_TABLE),
         lambda: from_callable("kinked", _kinked, r_max=50.0),
-        lambda: dual_weight(power_exp(0.3), per_decade=16),
+        lambda: dual_weight(power_exp(0.3)),
     ], ids=["power_exp(0.3)", "bell(2)", "custom_table", "kinked", "u*"])
     def test_each_kind_of_element_alone_and_among_in_range_ones(self, make):
-        # an in-range array maps the kernel; any other element sends the whole
-        # array down the scalar path, and both give the scalar calls' bits or error
+        # with or without in-range radii around it, each kind of element gives
+        # the bits or the error of the scalar calls
         u = make()
         inside = np.geomspace(u.r_max * 1e-6, u.r_max * 0.999, 9)
         kinds = {"in range": [], "r = 0": [0.0, -0.0], "r = r_max": [u.r_max],
@@ -117,16 +117,50 @@ class TestArrayContract:
         want = self.outcome(lambda: u.log_eval(-0.5))
         assert want == (DomainError, f"{u.name}: r=-0.5 is negative")
 
-    def test_an_in_range_array_maps_the_kernel_alone(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("rs", [
+        np.array([0.5, 3.0, 10.0]),
+        np.array([0.0, 3.0]),
+        np.array([0.5, 10.0 * (1.0 + 5e-10)]),
+        np.array([0.5, math.nan, 3.0]),
+        np.array([1, 3, 10]),
+    ], ids=["in range", "r = 0", "past r_max within 1e-9", "NaN", "int dtype"])
+    def test_every_array_is_one_log_eval_call(self, monkeypatch, rs):
+        calls, kernel_calls = [], []
         log_eval = WeightFunction.log_eval
         monkeypatch.setattr(WeightFunction, "log_eval",
                             lambda u, r: calls.append(r) or log_eval(u, r))
-        u = power_exp(0.3, r_max=10.0)
-        u.log_eval(np.array([0.5, 3.0, 10.0]))
-        assert len(calls) == 1
-        u.log_eval(np.array([0.0, 3.0]))  # u(0) takes the scalar path, once per element
-        assert len(calls) == 4
+        w = power_exp(0.3, r_max=10.0)
+        u = dataclasses.replace(w, _log_eval=lambda r: kernel_calls.append(r) or w._log_eval(r))
+        u.log_eval(rs)
+        assert len(calls) == 1 and len(kernel_calls) == 1
+
+    def test_a_float64_array_reaches_the_kernel_uncopied(self):
+        seen = []
+        w = power_exp(0.3, r_max=10.0)
+        u = dataclasses.replace(w, _log_eval=lambda r: seen.append(r) or w._log_eval(r))
+        rs = np.array([0.5, 3.0, 10.0])
+        u.log_eval(rs)
+        assert seen[0] is rs
+
+    @pytest.mark.parametrize("make", [lambda: power_exp(0.3, r_max=10.0),
+                                      lambda: custom_table(_TABLE)],
+                             ids=["power_exp(0.3)", "custom_table"])
+    @pytest.mark.parametrize("r", [2.5, 3, np.float64(2.5), 0, 10.0 * (1.0 + 5e-10)],
+                             ids=["float", "int", "np.float64", "int 0", "past r_max within 1e-9"])
+    def test_a_number_gives_the_bits_of_its_one_element_array(self, make, r):
+        u = make()
+        got = u.log_eval(r)
+        assert type(got) is float
+        assert _bits([got]).tobytes() == _bits(u.log_eval(np.array([r], dtype=float))).tobytes()
+
+    def test_the_radii_before_a_domain_error_reach_the_kernel_first(self):
+        seen = []
+        u = from_callable("recording", lambda r: seen.append(r) or r, r_max=10.0)
+        with pytest.raises(DomainError, match=r"^recording: r=-1\.0 is negative$"):
+            u.log_eval(np.array([0.5, 0.0, 3.0, -1.0, 4.0]))
+        assert seen == [0.5, 3.0]
+        with pytest.raises(DomainError, match=r"^recording: r=-1 is negative$"):
+            u.log_eval(np.array([2, -1]))  # an int element is named as the int it is
 
     def test_kernel_sees_only_python_floats_in_range(self):
         seen = []
@@ -148,7 +182,7 @@ class TestArrayContract:
 
     @pytest.mark.parametrize("r", [np.array(2.0), np.ones((2, 3))], ids=["0-D", "2-D"])
     def test_array_of_another_rank_is_rejected_in_one_line(self, r):
-        # one line naming the contract, not a TypeError from inside the element loop
+        # one line naming the contract, not an error from inside the kernel
         want = rf"^power_exp\(beta=0.5\): log_eval takes a 1-D array, got {r.ndim}-D$"
         with pytest.raises(ValueError, match=want):
             power_exp(0.5).log_eval(r)
@@ -182,7 +216,7 @@ class TestFloatTower:
 def _u_star(beta):
     """A u*, the scalar u* kernel on its knots, coefficients and linear part, and a
     radius below the grid's lower end 1e-8, where u* is linear in r."""
-    ustar = dual_weight(power_exp(beta), per_decade=16)
+    ustar = dual_weight(power_exp(beta))
     return ustar, scalar_kernels.Hermite(*ustar._log_eval.args), 1e-20
 
 
@@ -199,7 +233,7 @@ KERNELS = {
     # below the first positive abscissa 0.5 the table is linear in r
     "custom_table": lambda: (custom_table(_TABLE), scalar_kernels.custom_table(_TABLE), 1e-6),
     "u*": lambda: _u_star(0.3),
-    # log u* <= 0 at the first knots: the linear part runs through 14 of them
+    # log u* <= 0 at the first knots: the linear part runs through 27 of them
     "u* with a linear part": lambda: _u_star(0.55),
 }
 
@@ -222,7 +256,7 @@ class TestKernelsMatchTheFrozenScalarKernels:
         assert ((0.0 < rs) & (rs <= r_max)).all()
         want = np.array([oracle(r) for r in rs.tolist()])
         assert np.array_equal(u.log_eval(rs).view(np.uint64), want.view(np.uint64))
-        # the 1e-9 allowance past r_max reads as r_max, on the scalar path too
+        # the 1e-9 allowance past r_max reads as r_max, for a number too
         past = np.array([u.log_eval(r_max * (1.0 + 5e-10))])
         assert past.view(np.uint64)[0] == np.array([oracle(r_max)]).view(np.uint64)[0]
         assert type(u.log_eval(r_max)) is float
