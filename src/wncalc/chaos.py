@@ -205,9 +205,7 @@ def dist_norm(Phi: ChaosVector, u: WeightFunction, p: float) -> float:
 
 def pairing(Phi: ChaosVector, phi: ChaosVector) -> complex:
     """Bilinear pairing sum_n n! <F_n, f_n> (no conjugation)."""
-    if Phi.model is not phi.model and (
-        Phi.model.d != phi.model.d or Phi.model.N != phi.model.N
-    ):
+    if Phi.model != phi.model:
         raise ModelMismatchError("vectors built over different models")
     if Phi.role != ROLE_DISTRIBUTION or phi.role != ROLE_TEST:
         raise ValueError("pairing expects (distribution, test)")

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,17 +45,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
+    return obj
 
 
 def _collect_verdicts(tree, out):

@@ -8,9 +8,9 @@ conjugate problem in ``y = log r``, solved for all arguments in one
 ``optimize.minimize_scalar`` batch: a coarse scan and golden-section
 refinement of several brackets, since (log, x^2)-convexity of u does not
 guarantee convexity of the objective in y.  A batch evaluates ``log u`` once
-on the 65 points of ``optimize.scan_grid`` and builds the scan rows from those
-values, a few hundred rows at a time; each lockstep step of the refinement is
-then one array call of ``log u``.  The arithmetic is the scalar expressions'
+on the 65 points of ``optimize.scan_grid`` and builds its whole scan matrix,
+one row per argument, from those values; each lockstep step of the refinement
+is then one array call of ``log u``.  The arithmetic is the scalar expressions'
 in numpy and exp is ``math.exp`` mapped per element, so every value is bit
 for bit what one solve per argument gives.  ``certify`` checks such values by
 a brute-force minimum of the same rows on a dense grid (Lucet, 1997).
@@ -59,7 +59,7 @@ DUAL_R_LO, DUAL_R_MAX = 1e-8, 1e8  # ends of the materialized u* grid
 DUAL_PER_DECADE = 32  # u* knots per decade of r
 CERT_POINTS = 2**13  # grid points of a certificate on the solver's range of y = log r
 CERT_TOL = 1e-9  # relative round-off slack of a certificate
-_BLOCK = 128  # objective rows built at a time: all 4 097 scan rows at once add ~8 MB of peak RSS
+_BLOCK = 128  # certificate rows built at a time: 4 097 rows of CERT_POINTS at once are 268 MB
 
 
 class UnboundedError(ArithmeticError):
@@ -106,12 +106,6 @@ def _objective(p: np.ndarray, y: np.ndarray, logs: np.ndarray, dual: bool) -> np
     return -(2.0 * np.sqrt(p) * libm_map(math.exp, 0.5 * y) - logs) if dual else logs - p * y
 
 
-def _objective_rows(u: WeightFunction, ps: np.ndarray, ys: np.ndarray, dual: bool):
-    """Blocks of _BLOCK rows, row k the objective of argument ps[k] at the points ys."""
-    logs = _log_u(u, ys)
-    return (_objective(ps[k:k + _BLOCK, None], ys, logs, dual) for k in range(0, len(ps), _BLOCK))
-
-
 def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
     """Minimize log u(e^y) - t y over y for each t, or, with ``dual``, minus the max
     of 2 sqrt(r) e^{y/2} - log u(e^y) for each r, in one batch.  The first failing
@@ -120,10 +114,11 @@ def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
     if (ps < 0).any():
         raise ValueError(f"{'r' if dual else 't'} must be >= 0")
     y_hi = math.log(u.r_max)
-    blocks = _objective_rows(u, ps, np.array(optimize.scan_grid(_Y_LO, y_hi)), dual)
+    ys = optimize.scan_grid(_Y_LO, y_hi)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as in Python floats
+        scan = _objective(ps[:, None], ys, _log_u(u, ys), dual)
         res = optimize.minimize_scalar(lambda ks, y: _objective(ps[ks], y, _log_u(u, y), dual),
-                                       _Y_LO, y_hi, blocks)
+                                       _Y_LO, y_hi, scan)
     no_finite = res.status == optimize.STATUS_NO_FINITE
     failed = no_finite | ((res.status == optimize.STATUS_UPPER_BOUNDARY) & (ps > 0))
     if failed.any():
@@ -254,8 +249,10 @@ def certify(u: WeightFunction, args, values, dual: bool = False) -> np.ndarray:
     above the supremum log u*(r) = value) by more than CERT_TOL relative.  One-sided:
     it catches a missed optimum, not an error below the grid's resolution."""
     ys = np.linspace(_Y_LO, math.log(u.r_max), CERT_POINTS)
-    rows = _objective_rows(u, np.array(args, dtype=float, ndmin=1), ys, dual)
-    lows = np.concatenate([np.empty(0), *(block.min(axis=1) for block in rows)])
+    ps, logs = np.array(args, dtype=float, ndmin=1), _log_u(u, ys)
+    lows = np.empty(len(ps))
+    for k in range(0, len(ps), _BLOCK):
+        lows[k:k + _BLOCK] = _objective(ps[k:k + _BLOCK, None], ys, logs, dual).min(axis=1)
     best = np.array(values, dtype=float, ndmin=1) * (-1.0 if dual else 1.0)
     return lows >= best - CERT_TOL * (1.0 + np.abs(best))
 

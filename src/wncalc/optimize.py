@@ -69,51 +69,42 @@ def _golden_sections(f, ks: np.ndarray, a: np.ndarray, b: np.ndarray):
     return x, f(ks, x), evals
 
 
-def scan_grid(lo: float, hi: float) -> list[float]:
+def scan_grid(lo: float, hi: float) -> np.ndarray:
     """The uniform coarse-scan grid of ``minimize_scalar`` on [lo, hi]."""
     if not hi > lo:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
-    step = (hi - lo) / (COARSE - 1)
-    return [lo + i * step for i in range(COARSE)]
+    return lo + (hi - lo) / (COARSE - 1) * np.arange(COARSE)
 
 
-def minimize_scalar(f, lo: float, hi: float, scan_values) -> BatchMinResult:
+def minimize_scalar(f, lo: float, hi: float, scan) -> BatchMinResult:
     """Global-ish minimum on [lo, hi] of every objective of a batch.
 
-    ``scan_values`` is an iterable of 2-D blocks of rows, and row k of the
-    batch, counted across the blocks, is objective k on ``scan_grid(lo, hi)``,
-    computed by the caller; ``f(ks, ys)`` is the array of objective ks[j] at
-    ys[j], called only by the refinement.  Each row refines the
-    ``MULTI_START`` best local minima of its scan, in stable order of value,
-    and keeps the first strict minimum of the refined values.  The status
-    flags a minimum on a boundary of the interval, which callers read as
-    evidence of an unbounded objective, or a row without any finite value.
+    ``scan`` is an (n, COARSE) array whose row k is objective k on
+    ``scan_grid(lo, hi)``, computed by the caller; ``f(ks, ys)`` is the array of
+    objective ks[j] at ys[j], called only by the refinement.  Each row refines the
+    ``MULTI_START`` best local minima of its scan, in stable order of value, and
+    keeps the first strict minimum of the refined values.  The status flags a
+    minimum on a boundary of the interval, which callers read as evidence of an
+    unbounded objective, or a row without any finite value.
     """
-    xs = np.array(scan_grid(lo, hi))
+    xs = scan_grid(lo, hi)
     edge = 2.0 * ((hi - lo) / (COARSE - 1))  # two scan steps
-    found, n = [], 0
-    for block in scan_values:
-        vals = np.asarray(block, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != COARSE:
-            raise ValueError(f"need rows of {COARSE} scan values, got shape {vals.shape}")
-        # local minima of the scan (including endpoints), in stable order of value
-        padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=math.inf)
-        local = (vals <= padded[:, :-2]) & (vals <= padded[:, 2:]) & np.isfinite(vals)
-        order = np.argsort(np.where(local, vals, math.inf), axis=1, kind="stable")
-        count = np.minimum(local.sum(axis=1), MULTI_START)
-        for i in np.flatnonzero(count == 0):  # no finite local minimum: the least value
-            order[i, 0], count[i] = min(range(COARSE), key=vals[i].tolist().__getitem__), 1
-        row, slot = np.nonzero(np.arange(MULTI_START) < count[:, None])
-        col = order[row, slot]
-        found.append((row + n, slot, col, vals[row, col],
-                      vals[:, 0] <= vals[:, 1], vals[:, -1] <= vals[:, -2]))
-        n += len(vals)
-    if not n:
-        return BatchMinResult(np.empty(0), np.empty(0), np.empty(0, str), evaluations=0)
-    rows, slots, cols, scanned, lower_end, upper_end = map(np.concatenate, zip(*found))
+    vals = np.asarray(scan, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != COARSE:
+        raise ValueError(f"need rows of {COARSE} scan values, got shape {vals.shape}")
+    n = len(vals)
+    # local minima of the scan (including endpoints), in stable order of value
+    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=math.inf)
+    local = (vals <= padded[:, :-2]) & (vals <= padded[:, 2:]) & np.isfinite(vals)
+    order = np.argsort(np.where(local, vals, math.inf), axis=1, kind="stable")
+    count = np.minimum(local.sum(axis=1), MULTI_START)
+    for i in np.flatnonzero(count == 0):  # no finite local minimum: the least value
+        order[i, 0], count[i] = min(range(COARSE), key=vals[i].tolist().__getitem__), 1
+    rows, slots = np.nonzero(np.arange(MULTI_START) < count[:, None])
+    cols = order[rows, slots]
 
     a, b = xs[np.maximum(cols - 1, 0)], xs[np.minimum(cols + 1, COARSE - 1)]
-    x, v = xs[cols], scanned  # a bracket without width keeps its scan point
+    x, v = xs[cols], vals[rows, cols]  # a bracket without width keeps its scan point
     wide = ~(b <= a)
     x[wide], v[wide], evals = _golden_sections(f, rows[wide], a[wide], b[wide])
 
@@ -127,8 +118,8 @@ def minimize_scalar(f, lo: float, hi: float, scan_values) -> BatchMinResult:
         best_v = np.where(better, refined_v[:, j], best_v)
 
     no_finite = best_v == math.inf
-    lower = ~no_finite & (best_x - lo < edge) & lower_end
-    upper = ~no_finite & ~lower & (hi - best_x < edge) & upper_end
+    lower = ~no_finite & (best_x - lo < edge) & (vals[:, 0] <= vals[:, 1])
+    upper = ~no_finite & ~lower & (hi - best_x < edge) & (vals[:, -1] <= vals[:, -2])
     status = np.select([no_finite, lower, upper],
                        [STATUS_NO_FINITE, STATUS_LOWER_BOUNDARY, STATUS_UPPER_BOUNDARY], STATUS_OK)
     return BatchMinResult(x=best_x, value=best_v, status=status, evaluations=evals)

@@ -94,7 +94,8 @@ class WeightFunction:
     """A positive continuous function on [0, r_max], held as its log evaluator."""
 
     name: str
-    _log_eval: Callable[[np.ndarray], np.ndarray]  # kernel: in-range float64 radii -> log u
+    # kernel: in-range float64 radii -> log u; params, not the callable, name it in the repr
+    _log_eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     r_max: float
     params: dict = field(default_factory=dict)
     u_at_zero: float = 1.0
@@ -108,9 +109,9 @@ class WeightFunction:
         """log u(r) at a number, as a Python float, or at each element of a 1-D array.
 
         r = 0 gives log u(0), and r up to 1e-9 relative past r_max (the round-off of
-        exp(log r_max)) reads as r_max.  The other radii, NaN included, go to the kernel
-        in one call.  A negative r, or one past that band, raises DomainError after the
-        radii before it have gone to the kernel, so the first bad element raises.
+        exp(log r_max)) reads as r_max.  The other radii go to the kernel in one call.
+        A negative r, a NaN, or an r past that band raises DomainError after the radii
+        before it have gone to the kernel, so the first bad element raises.
         """
         scalar = not isinstance(r, np.ndarray)
         if not scalar and r.ndim != 1:
@@ -119,19 +120,17 @@ class WeightFunction:
         if ((0.0 < x) & (x <= self.r_max)).all():  # the in-range case takes one test
             out = self._log_eval(x)
         else:
-            bad = (x < 0) | (x > self.r_max * (1.0 + 1e-9))
+            bad = ~(x >= 0) | (x > self.r_max * (1.0 + 1e-9))  # NaN fails x >= 0
             k = int(np.argmax(bad)) if bad.any() else len(x)
-            y = np.minimum(x[:k], self.r_max)  # NaN stays NaN
+            y = np.minimum(x[:k], self.r_max)
             out = np.full(k, math.log(self.u_at_zero))
             out[y != 0] = self._log_eval(y[y != 0])
             if k < len(x):
                 v = r if scalar else r[k].item()
-                raise DomainError(f"{self.name}: r={v} is negative" if x[k] < 0
-                                  else f"{self.name}: r={v} exceeds r_max={self.r_max}")
+                why = ("is not a number" if math.isnan(x[k]) else "is negative" if x[k] < 0
+                       else f"exceeds r_max={self.r_max}")
+                raise DomainError(f"{self.name}: r={v} {why}")
         return out.item() if scalar else out
-
-    def __repr__(self):  # params carry the identity; the callable does not
-        return f"WeightFunction({self.name!r}, params={self.params}, r_max={self.r_max})"
 
 
 def power_exp(beta: float, r_max: float = 1e30) -> WeightFunction:

@@ -118,6 +118,18 @@ class TestNorms:
         ))
         assert val == pytest.approx(direct, rel=1e-12)
 
+    def test_equal_models_pair_and_different_ones_do_not(self):
+        # models compare by (d, N): a second FiniteGaussianModel(3, 5) object is the same model
+        rng = np.random.default_rng(3)
+        model, twin = FiniteGaussianModel(d=3, N=5), FiniteGaussianModel(d=3, N=5)
+        phi = random_vector(model, rng)
+        Phi = random_vector(model, rng, chaos.ROLE_DISTRIBUTION)
+        on_twin = ChaosVector(model=twin, coeffs=phi.coeffs, role=chaos.ROLE_TEST)
+        assert pairing(Phi, on_twin) == pairing(Phi, phi)
+        other = random_vector(FiniteGaussianModel(d=3, N=6), rng)
+        with pytest.raises(chaos.ModelMismatchError, match="different models"):
+            pairing(Phi, other)
+
     def test_role_checks(self, model):
         rng = np.random.default_rng(2)
         phi = random_vector(model, rng)

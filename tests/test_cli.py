@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from wncalc import cli
@@ -277,6 +279,117 @@ def test_cli_import_needs_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_an_array_is_not_written_as_its_string():
+    # reports hold lists; an array reaching the writer is an error, not a str() field
+    with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+        json.dumps(cli._jsonable({"x": np.arange(2)}))
+
+
+# Runs cli.run on each argv of the JSON list on stdin, with every import of scipy
+# refused, and prints [exit code, stderr, sha256 of stdout] per argv, one JSON line each.
+_WITHOUT_SCIPY = """
+import contextlib, hashlib, io, json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"scipy is refused: import {name}")
+
+sys.meta_path.insert(0, RefuseScipy())
+from wncalc import cli
+
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    print(json.dumps([code, err.getvalue(), hashlib.sha256(out.getvalue().encode()).hexdigest()]))
+"""
+
+
+def _run_without_scipy(argvs):
+    res = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], input=json.dumps(argvs),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return [json.loads(line) for line in res.stdout.splitlines()]
+
+
+class TestRuntimeWithoutScipy:
+    """Each subcommand runs with every import of scipy refused.  Argvs that an
+    in-process test already runs are left out."""
+
+    # argv and the exit codes it may give: 2 is a failed verdict, not an error
+    RUNS = [
+        (["legendre", "--nmax", "30"], {0}),
+        (["legendre", "--csv", "--nmax", "10"], {0}),
+        (["dual"], {0}),
+        (["dual", "--points", "8"], {0}),
+        (["chaos-bounds", "--dim", "6", "--degree", "10", "--vectors", "2", "--seed", "1"], {0}),
+        (["chaos-bounds", "--dim", "6", "--degree", "10", "--vectors", "1",
+          "--sample-per-scale", "3", "--seed", "2"], {0}),
+        (["integrability", "--model", "grey", "--lambda", "0.99", "--beta", "0.01",
+          "--samples", "100000", "--seed", "0"], {0}),
+        (["integrability", "--model", "gaussian", "--dim", "4", "--samples", "20000",
+          "--seed", "0"], {0}),
+        # a diverging verdict under the Poisson measure
+        (["integrability", "--model", "poisson", "--dim", "4", "--samples", "20000",
+          "--seed", "0"], {0, 2}),
+        (["positive-definite", "--model", "grey", "--lambda", "0.3", "--points", "8",
+          "--sets", "2", "--seed", "0"], {0}),
+        (["positive-definite", "--model", "poisson", "--points", "6", "--sets", "1",
+          "--seed", "0"], {0}),
+        (["bell", "--order", "3", "--count", "8"], {0}),
+        (["weights-admissible"], {0}),
+        (["classify", "--family", "power_exp", "--beta", "0.5"], {0}),
+        # the sqrt_log and custom_table kernels; their class verdicts may fail
+        (["classify", "--family", "sqrt_log", "--order", "3"], {0, 2}),
+        (["classify", "--config", "TABLE"], {0, 2}),
+    ]
+    # argv and the one stderr line of its refusal
+    REFUSED = [
+        (["chaos-bounds", "--a", "nan"],
+         "error: check_test_bound needs a finite a >= 0, got nan\n"),
+        (["chaos-bounds", "--sample-per-scale", "0"], "error: the probe sample has no rows\n"),
+        (["integrability", "--model", "gaussian", "--samples", "3"],
+         "error: need at least N_BATCHES=8 samples, one per batch, got 3\n"),
+    ]
+    # argvs whose report bytes repeat in another process
+    REPEATED = [
+        # 13 vectors go in chunks of 8 and 5
+        ["chaos-bounds", "--dim", "6", "--degree", "10", "--vectors", "13",
+         "--sample-per-scale", "3", "--seed", "2"],
+        # nine modes: the monomials go over eight levels of shared mode prefixes
+        ["chaos-bounds", "--dim", "9", "--degree", "4", "--vectors", "3"],
+        # every probe radius is 0, so u and u* take their r = 0 branch
+        ["chaos-bounds", "--a", "0", "--vectors", "2", "--sample-per-scale", "3", "--seed", "1"],
+        # the Mittag-Leffler series share one Gamma table
+        ["positive-definite", "--model", "grey", "--lambda", "0.28", "--points", "8",
+         "--sets", "2", "--seed", "0"],
+        # the Hermite u* of a Bell and of a power_exp weight
+        ["duality", "--family", "bell", "--order", "2", "--nmax", "30", "--seed", "1"],
+        ["duality", "--family", "power_exp", "--beta", "0.3", "--nmax", "30", "--seed", "1"],
+    ]
+
+    def test_exit_codes_refusals_and_repeated_reports(self, tmp_path):
+        table = tmp_path / "table.json"
+        table.write_text('{"family": "custom_table", "params": '
+                         '{"points": [[0, 0], [1, 1], [10, 3], [1000, 40]]}}')
+        runs = [([str(table) if a == "TABLE" else a for a in argv], codes)
+                for argv, codes in self.RUNS]
+        refused = [argv for argv, _ in self.REFUSED]
+        got = _run_without_scipy([argv for argv, _ in runs] + refused + self.REPEATED)
+        assert len(got) == len(runs) + len(refused) + len(self.REPEATED)
+        for (argv, codes), (code, err, _) in zip(runs, got):
+            assert code in codes and re.fullmatch(r"wall_time: \d+\.\d{3} s\n", err), argv
+        no_output = hashlib.sha256(b"").hexdigest()
+        for (argv, message), outcome in zip(self.REFUSED, got[len(runs):]):
+            assert outcome == [1, message, no_output], argv
+        first = got[len(runs) + len(refused):]
+        assert [code for code, _, _ in first] == [0] * len(self.REPEATED)
+        # the same reports from a process that runs nothing else first
+        again = _run_without_scipy(self.REPEATED)
+        assert [digest for _, _, digest in again] == [digest for _, _, digest in first]
 
 
 class TestParser:

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import math
+import re
+import tracemalloc
 import weakref
 
 import mpmath as mp
@@ -407,11 +409,9 @@ class TestEllSequenceMemo:
         solves = []
         minimize = optimize.minimize_scalar
 
-        def counting(f, lo, hi, scan_values):
-            blocks = list(scan_values)
-            for block in blocks:
-                solves.extend(block)
-            return minimize(f, lo, hi, blocks)
+        def counting(f, lo, hi, scan):
+            solves.extend(scan)
+            return minimize(f, lo, hi, scan)
 
         monkeypatch.setattr(optimize, "minimize_scalar", counting)
         return solves
@@ -525,10 +525,10 @@ class TestBatchSolver:
     def test_random_scans_match_the_scalar_solver(self):
         # ties, signed zeros, inf, -inf and NaN in the scans exercise the
         # candidate order, the fallback without a finite local minimum and
-        # the first-strict-minimum rule; uneven blocks exercise the row count
+        # the first-strict-minimum rule
         rng = np.random.default_rng(5)
         lo, hi = -3.0, 4.0
-        grid = np.array(optimize.scan_grid(lo, hi))
+        grid = optimize.scan_grid(lo, hi)
         centers, waves = rng.uniform(-4, 5, 300), rng.choice([0.0, 1.0, 3.0], 300)
 
         def g(k, y):
@@ -550,7 +550,7 @@ class TestBatchSolver:
             scans[rng.random(scans.shape) < 0.05] = fill
         scans[2::11] = rng.choice([math.inf, math.nan], (len(scans[2::11]), 65))
 
-        got = optimize.minimize_scalar(objective, lo, hi, np.split(scans, [7, 100, 101]))
+        got = optimize.minimize_scalar(objective, lo, hi, scans)
         points = []  # every point the scalar solver evaluates, failing rows included
 
         def counted(k, y):
@@ -574,8 +574,10 @@ class TestBatchSolver:
         assert sorted(batch_points) == sorted(points)
 
     def test_scan_values_of_the_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="need rows of 65 scan values"):
-            optimize.minimize_scalar(lambda ks, y: np.abs(y), -1.0, 1.0, [np.zeros((1, 64))])
+        for shape in [(1, 64), (65,), (1, 1, 65)]:  # too short a row, 1-D, 3-D
+            message = f"need rows of 65 scan values, got shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                optimize.minimize_scalar(lambda ks, y: np.abs(y), -1.0, 1.0, np.zeros(shape))
 
     def test_safe_log_eval_of_an_array_is_inf_where_the_scalar_call_is(self):
         # bell's kernel takes exp of r <= 700 only, and raises past it; each radius
@@ -710,6 +712,17 @@ class TestCertify:
         assert certify(u, TestDualFunction.BELL2_RS, ustar, dual=True).all()
         assert not certify(u, ns, _moved(ell, up=True)).any()
         assert not certify(u, TestDualFunction.BELL2_RS, _moved(ustar, up=False), dual=True).any()
+
+    def test_the_dense_grid_is_built_a_block_of_rows_at_a_time(self):
+        # unblocked, 4 097 rows of CERT_POINTS values would be 268 MB per array
+        u, values = power_exp(0.0), np.zeros(len(DUAL_CERT_GRID))
+        tracemalloc.start()
+        try:
+            certify(u, DUAL_CERT_GRID, values, dual=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * legendre._BLOCK * legendre.CERT_POINTS * 8
 
     def test_the_shallower_of_two_wells_fails(self):
         # log u(e^y) = (y^2 - 4)^2 + y / 2 has wells near y = -2 (deeper) and y = 2;

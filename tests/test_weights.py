@@ -98,10 +98,11 @@ class TestArrayContract:
     @pytest.mark.parametrize("make", [
         lambda: power_exp(0.3, r_max=100.0),
         lambda: bell_weight(2),
+        lambda: sqrt_log_weight(2),
         lambda: custom_table(_TABLE),
         lambda: from_callable("kinked", _kinked, r_max=50.0),
         lambda: dual_weight(power_exp(0.3)),
-    ], ids=["power_exp(0.3)", "bell(2)", "custom_table", "kinked", "u*"])
+    ], ids=["power_exp(0.3)", "bell(2)", "sqrt_log(2)", "custom_table", "kinked", "u*"])
     def test_each_kind_of_element_alone_and_among_in_range_ones(self, make):
         # with or without in-range radii around it, each kind of element gives
         # the bits or the error of the scalar calls
@@ -116,6 +117,10 @@ class TestArrayContract:
                 assert self.outcome(lambda: u.log_eval(rs)) == want, kind
         want = self.outcome(lambda: u.log_eval(-0.5))
         assert want == (DomainError, f"{u.name}: r=-0.5 is negative")
+        # every family refuses a NaN: bell(2) used to blame overflow, the others returned NaN
+        for r in (math.nan, np.concatenate((inside, [math.nan], inside))):
+            want = (DomainError, f"{u.name}: r=nan is not a number")
+            assert self.outcome(lambda: u.log_eval(r)) == want
 
     @pytest.mark.parametrize("rs", [
         np.array([0.5, 3.0, 10.0]),
@@ -131,7 +136,12 @@ class TestArrayContract:
                             lambda u, r: calls.append(r) or log_eval(u, r))
         w = power_exp(0.3, r_max=10.0)
         u = dataclasses.replace(w, _log_eval=lambda r: kernel_calls.append(r) or w._log_eval(r))
-        u.log_eval(rs)
+        if np.isnan(rs).any():  # the radii before the NaN reach the kernel, then it raises
+            with pytest.raises(DomainError, match=r"r=nan is not a number$"):
+                u.log_eval(rs)
+            assert kernel_calls[0].tolist() == rs[:np.argmax(np.isnan(rs))].tolist()
+        else:
+            u.log_eval(rs)
         assert len(calls) == 1 and len(kernel_calls) == 1
 
     def test_a_float64_array_reaches_the_kernel_uncopied(self):
@@ -342,6 +352,10 @@ class TestCatalog:
             power_exp(1.0)
         with pytest.raises(ValueError):
             power_exp(-0.1)
+
+    def test_repr_names_the_params_and_not_the_kernel(self):
+        text = repr(power_exp(0.3))
+        assert "params={'beta': 0.3}" in text and "0x" not in text
 
     def test_bell_weight_order_two(self):
         u = bell_weight(2)
