@@ -78,6 +78,13 @@ def _weight_from_args(args) -> tuple[weights.WeightFunction, dict]:
     return weights.from_config(cfg), cfg
 
 
+def _at_least(args, flag: str, k: int) -> None:
+    """Refuse a count below k, which would leave the run with nothing to grade."""
+    value = getattr(args, flag)
+    if value < k:
+        raise ValueError(f"--{flag} must be >= {k}, got {value}")
+
+
 def _add_weight_flags(p):
     p.add_argument("--family", choices=["power_exp", "bell", "sqrt_log"],
                    default="power_exp")
@@ -103,6 +110,7 @@ def _cmd_classify(args, seed):
 
 
 def _cmd_legendre(args, seed):
+    _at_least(args, "nmax", 0)
     u, cfg = _weight_from_args(args)
     t_grid = [float(t) for t in range(args.nmax + 1)]
     res = legendre.legendre_transform(u, t_grid)
@@ -116,6 +124,7 @@ def _cmd_legendre(args, seed):
 
 
 def _cmd_dual(args, seed):
+    _at_least(args, "points", 1)
     u, cfg = _weight_from_args(args)
     if not 0.0 < args.r_lo <= args.r_hi < math.inf:
         raise ValueError("need finite radii 0 < --r-lo <= --r-hi,"
@@ -173,8 +182,7 @@ def _random_vector(model, rng, role, damp):
 
 
 def _cmd_chaos_bounds(args, seed):
-    if args.vectors < 0:
-        raise ValueError(f"--vectors must be >= 0, got {args.vectors}")
+    _at_least(args, "vectors", 1)
     u, cfg = _weight_from_args(args)
     model = chaos.FiniteGaussianModel(d=args.dim, N=args.degree)
     rng = np.random.default_rng(seed)
@@ -203,6 +211,7 @@ def _measure_from_args(args, seed) -> measures.MeasureModel:
 
 
 def _cmd_positive_definite(args, seed):
+    _at_least(args, "sets", 1)
     model = _measure_from_args(args, seed)
     rng = np.random.default_rng(seed)
     reports = []

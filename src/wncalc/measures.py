@@ -8,9 +8,9 @@ table of Gamma(1 + lambda n).
 
 The grey-noise sampler uses the Gaussian scale-mixture representation
 x = sqrt(2) S^(-lambda/2) z with S a one-sided stable variable (Kanter's
-construction).  The representation is never trusted blindly: every Monte
-Carlo verdict on a grey model first passes an empirical
-characteristic-function validation against the Mittag-Leffler functional.
+construction).  The representation is never trusted blindly: no Monte Carlo
+verdict on a grey model is returned unless its own draws pass an empirical
+characteristic-function test against the Mittag-Leffler functional.
 
 Divergence of an integral is a graded verdict from batch-mean stability,
 never an exception: Monte Carlo cannot prove finiteness, it grades
@@ -301,35 +301,48 @@ def sample(model: MeasureModel, n: int, rng=None) -> np.ndarray:
     return math.sqrt(2.0) * S[:, None] ** (-model.lam / 2.0) * z
 
 
-def validate_sampler(model: MeasureModel, n: int = 100_000) -> dict:
+def _probes(model: MeasureModel) -> np.ndarray:
+    """The ``N_PROBES`` characteristic-function probes, drawn from sampler_seed + 1."""
+    rng = np.random.default_rng(model.sampler_seed + 1)
+    return rng.standard_normal((N_PROBES, model.d)) / math.sqrt(model.d)
+
+
+def _ecf_sums(x: np.ndarray, probes: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of rows of x that are not finite and, when there is none, the
+    sums of cos w, cos^2 w, sin w and sin^2 w over w = x @ probes.T, one
+    column per probe (zeros otherwise: the gate refuses those draws anyway)."""
+    w = x @ probes.T
+    # a draw with a NaN or inf entry projects to a non-finite w; its NaN
+    # z-score would drop out of the max and pass the gate silently
+    bad = int(np.count_nonzero(~np.isfinite(w).all(axis=1)))
+    if bad:  # and cos(inf) would warn
+        return bad, np.zeros((4, len(probes)))
+    c, s = np.cos(w), np.sin(w)
+    return 0, np.array([c.sum(axis=0), (c * c).sum(axis=0), s.sum(axis=0), (s * s).sum(axis=0)])
+
+
+def validate_sampler(model: MeasureModel, n: int = 100_000, *, sums=None) -> dict:
     """Empirical characteristic function vs the analytic functional.
 
-    Each of ``N_PROBES`` probes gives a real and an imaginary z-score.
-    Raises SamplerValidationError when any draw is not finite, or when the
-    largest |z| exceeds ``Z_GATE``; a correct sampler then fails with the
-    6.3e-5 of one ``SIGMA_GATE`` test, not the 1.0e-3 of 16 such tests.
+    ``sums`` are the ``_ecf_sums`` of n draws already made, added batch by
+    batch: ``_run_batches`` grades the draws of its estimate this way.
+    Without them n draws come from the model's own stream.  Each of
+    ``N_PROBES`` probes gives a real and an imaginary z-score.  Raises
+    SamplerValidationError when any draw is not finite, or when the largest
+    |z| exceeds ``Z_GATE``; a correct sampler then fails with the 6.3e-5 of
+    one ``SIGMA_GATE`` test, not the 1.0e-3 of 16 such tests.
     """
-    probe_rng = np.random.default_rng(model.sampler_seed + 1)
-    x = sample(model, n)
-    probes = probe_rng.standard_normal((N_PROBES, model.d)) / math.sqrt(model.d)
-    exacts = model.char_fn(probes).tolist()
-    worst = 0.0
-    for xi, exact in zip(probes, exacts):
-        w = x @ xi
-        # a draw with a NaN or inf entry projects to a non-finite w; its NaN
-        # z-score would drop out of the max and pass the gate silently
-        bad = int(np.count_nonzero(~np.isfinite(w)))
-        if bad:
-            raise SamplerValidationError(
-                f"{model.kind} sampler: {bad} of {n} draws are not finite"
-            )
-        cos_w, sin_w = np.cos(w), np.sin(w)
-        emp_re, emp_im = float(np.mean(cos_w)), float(np.mean(sin_w))
-        se_re = float(np.std(cos_w) / math.sqrt(n)) or 1e-300
-        se_im = float(np.std(sin_w) / math.sqrt(n)) or 1e-300
-        z = max(abs(emp_re - np.real(exact)) / se_re,
-                abs(emp_im - np.imag(exact)) / se_im)
-        worst = max(worst, z)
+    probes = _probes(model)
+    bad, (s_c, s_cc, s_s, s_ss) = _ecf_sums(sample(model, n), probes) if sums is None else sums
+    if bad:
+        raise SamplerValidationError(f"{model.kind} sampler: {bad} of {n} draws are not finite")
+    exact = model.char_fn(probes)
+    z = 0.0
+    for s1, s2, value in ((s_c, s_cc, np.real(exact)), (s_s, s_ss, np.imag(exact))):
+        mean = s1 / n
+        se = np.maximum(np.sqrt(np.maximum(s2 / n - mean * mean, 0.0) / n), 1e-300)
+        z = np.maximum(z, np.abs(mean - value) / se)
+    worst = float(np.max(z))
     if worst > Z_GATE:
         raise SamplerValidationError(
             f"{model.kind} sampler: worst deviation {worst:.2f} sigma > {Z_GATE:.2f}"
@@ -367,21 +380,31 @@ def _batch_verdict(batch_means: np.ndarray) -> tuple[str, float]:
 
 
 def _run_batches(model: MeasureModel, n: int, stat, threads: int = 1) -> list:
-    """stat(draws) per batch, once a grey model's sampler passes validate_sampler."""
+    """stat(draws) per batch.  A grey model's batches are also reduced to their
+    ``_ecf_sums``, and validate_sampler grades their batch-order total before any
+    result is returned; a batch with a draw that is not finite never reaches stat."""
     if n < N_BATCHES:
         raise ValueError(f"need at least N_BATCHES={N_BATCHES} samples, one per batch, got {n}")
-    if model.kind == KIND_GREY:
-        validate_sampler(model, n=min(n, 100_000))
     batch = n // N_BATCHES
     seeds = np.random.SeedSequence(model.sampler_seed).spawn(N_BATCHES)
+    probes = _probes(model) if model.kind == KIND_GREY else None
 
     def worker(seed_seq):
-        return stat(sample(model, batch, np.random.default_rng(seed_seq)))
+        x = sample(model, batch, np.random.default_rng(seed_seq))
+        if probes is None:
+            return None, stat(x)
+        sums = _ecf_sums(x, probes)
+        return sums, None if sums[0] else stat(x)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, seeds))
-    return [worker(s) for s in seeds]
+            done = list(ex.map(worker, seeds))
+    else:
+        done = [worker(s) for s in seeds]
+    if probes is not None:
+        validate_sampler(model, N_BATCHES * batch,
+                         sums=(sum(s[0] for s, _ in done), sum(s[1] for s, _ in done)))
+    return [r for _, r in done]
 
 
 def integrability_check(

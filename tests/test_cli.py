@@ -97,11 +97,24 @@ class TestExitCodes:
         (["--a", "nan"], "check_test_bound needs a finite a >= 0, got nan"),
         (["--a", "-0.1"], "check_test_bound needs a finite a >= 0, got -0.1"),
         (["--sample-per-scale", "0"], "the probe sample has no rows"),
-        (["--vectors", "-1"], "--vectors must be >= 0, got -1"),
+        (["--vectors", "-1"], "--vectors must be >= 1, got -1"),
     ])
     def test_bad_chaos_bounds_argument_exits_one_with_one_line(self, capsys, flags,
                                                                 message):
         argv = ["chaos-bounds", "--dim", "2", "--degree", "3", "--vectors", "2", *flags]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["positive-definite", "--model", "gaussian", "--sets", "0"], "--sets must be >= 1, got 0"),
+        (["legendre", "--nmax", "-1"], "--nmax must be >= 0, got -1"),
+        (["dual", "--points", "0"], "--points must be >= 1, got 0"),
+        (["chaos-bounds", "--vectors", "0"], "--vectors must be >= 1, got 0"),
+    ])
+    def test_an_empty_suite_exits_one_with_one_line(self, capsys, argv, message):
+        # each of these ran nothing and exited 0 with an empty report
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -248,16 +261,19 @@ class TestExitCodes:
 
     def test_sampler_validation_error_exits_one_with_one_line(self):
         # a subprocess, so that numpy warnings would reach the stderr we read;
-        # this seed is the gate's rare false alarm on a correct sampler
+        # the sampler is broken: every draw is 1.5 times too large
+        code = ("import sys; from wncalc import cli, measures; true_sample = measures.sample; "
+                "measures.sample = lambda model, n, rng=None: 1.5 * true_sample(model, n, rng); "
+                "sys.exit(cli.run(sys.argv[1:]))")
         res = subprocess.run(
-            [sys.executable, "-m", "wncalc.cli", "integrability", "--model", "grey",
-             "--lambda", "0.5", "--dim", "6", "--samples", "20000",
-             "--seed", "1474054166", "--beta", "0.5"],
+            [sys.executable, "-c", code, "integrability", "--model", "grey",
+             "--lambda", "0.5", "--dim", "6", "--samples", "20000", "--beta", "0.5"],
             capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr == "error: grey sampler: worst deviation 4.87 sigma > 4.61\n"
+        assert re.fullmatch(r"error: grey sampler: worst deviation \d+\.\d\d sigma > 4\.61\n",
+                            res.stderr)
 
     def test_grey_lambda_near_one_converges_without_warnings(self):
         # the Kanter draws of the rows whose direct formula under- or

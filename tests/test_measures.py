@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,21 @@ from wncalc.measures import (
 from wncalc.weights import CONSISTENT, VIOLATED, from_callable, power_exp, sqrt_log_weight
 
 KINDS = [measures.KIND_GAUSSIAN, measures.KIND_GREY, measures.KIND_POISSON]
+
+
+def spoiled_sampler(true_sample):
+    """``true_sample`` with an inf in every 1 000th draw and a NaN in the next."""
+    def spoiled(model, n, rng=None):
+        x = true_sample(model, n, rng)
+        x[::1000, 0] = math.inf
+        x[1::1000, 1] = math.nan
+        return x
+    return spoiled
+
+
+def scaled_sampler(true_sample):
+    """``true_sample`` off by a scale factor of 1.5: a broken sampler."""
+    return lambda model, n, rng=None: 1.5 * true_sample(model, n, rng)
 
 
 def reference_gram_report(model, pts, tol: float = 1e-8) -> PositiveDefiniteReport:
@@ -252,8 +268,9 @@ class TestSamplers:
     @pytest.mark.parametrize("seed", [572906075, 665419025, 1138478386, 148829985,
                                       2145116692, 2134949518, 1567902331])
     def test_correct_sampler_above_four_sigma_passes(self, seed):
-        # the grey check of `verify-all --seed S`: a largest |z| in (4, Z_GATE]
-        # failed the uncorrected 4-sigma gate
+        # validate_sampler's own draws for seed S give a largest |z| in
+        # (4, Z_GATE], which failed the uncorrected 4-sigma gate; these are no
+        # longer the draws of `verify-all --seed S`, whose gate reads its batches
         m = MeasureModel(kind="grey", d=6, lam=0.5, sampler_seed=seed)
         assert 4.0 < validate_sampler(m, n=20_000)["worst_sigma"] <= measures.Z_GATE
 
@@ -266,10 +283,7 @@ class TestSamplers:
     def test_validation_catches_a_broken_sampler(self, monkeypatch):
         # a sampler off by a scale factor must fail the gate
         m = MeasureModel(kind="grey", d=4, lam=0.6, sampler_seed=4)
-        true_sample = measures.sample
-        monkeypatch.setattr(
-            measures, "sample", lambda model, n, rng=None: 1.5 * true_sample(model, n, rng)
-        )
+        monkeypatch.setattr(measures, "sample", scaled_sampler(measures.sample))
         with pytest.raises(SamplerValidationError):
             validate_sampler(m, n=50_000)
 
@@ -277,15 +291,7 @@ class TestSamplers:
         # inf and NaN draws give NaN z-scores, which must not let the
         # sampler pass the gate
         m = MeasureModel(kind="grey", d=6, lam=0.6, sampler_seed=0)
-        true_sample = measures.sample
-
-        def spoiled(model, n, rng=None):
-            x = true_sample(model, n, rng)
-            x[::1000, 0] = math.inf
-            x[1::1000, 1] = math.nan
-            return x
-
-        monkeypatch.setattr(measures, "sample", spoiled)
+        monkeypatch.setattr(measures, "sample", spoiled_sampler(measures.sample))
         with pytest.raises(SamplerValidationError,
                            match="200 of 100000 draws are not finite"):
             validate_sampler(m, n=100_000)
@@ -367,6 +373,67 @@ class TestIntegrability:
         assert measures._batch_verdict(wobble)[0] == "inconclusive"
 
 
+def run_grey_check(check, n, threads=1, u=None):
+    """A grey integrability or moment check on n draws; u defaults to power_exp(0.5)."""
+    from wncalc.chaos import FiniteGaussianModel, chaos_vector
+
+    m = MeasureModel(kind="grey", d=3, lam=0.6, sampler_seed=0)
+    if check == "integrability":
+        return integrability_check(m, u or power_exp(0.5), p=1.0, n=n, threads=threads)
+    phi = chaos_vector(FiniteGaussianModel(d=3, N=2), {(1, 0, 0): 1.0, (0, 0, 0): 2.0})
+    return ls_inclusion_check(m, phi, s_list=[1.0, 2.0], n=n, threads=threads)
+
+
+class TestGateOnTheBatchDraws:
+    """A grey check grades its sampler on the draws its estimate rests on."""
+
+    @pytest.mark.parametrize("check", ["integrability", "moments"])
+    def test_each_draw_is_made_once(self, check, monkeypatch):
+        rows = []
+        true_sample = measures.sample
+
+        def counted(model, n, rng=None):
+            rows.append(n)
+            return true_sample(model, n, rng)
+
+        monkeypatch.setattr(measures, "sample", counted)
+        run_grey_check(check, n=100_000)
+        assert rows == [12_500] * measures.N_BATCHES
+
+    def test_non_finite_draws_are_refused_before_stat_sees_them(self, monkeypatch):
+        # each 12 500-row batch holds 13 inf and 13 NaN rows; a NaN radius
+        # reaching log_eval would raise DomainError instead
+        seen = []
+        u = from_callable("seen", lambda r: seen.append(r) or 0.0, r_max=1e30)
+        monkeypatch.setattr(measures, "sample", spoiled_sampler(measures.sample))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplerValidationError,
+                               match="^grey sampler: 208 of 100000 draws are not finite$"):
+                run_grey_check("integrability", n=100_000, u=u)
+        assert seen == []
+
+    def test_a_broken_sampler_is_refused(self, monkeypatch):
+        # TestMomentCheck has the moment check's case
+        monkeypatch.setattr(measures, "sample", scaled_sampler(measures.sample))
+        with pytest.raises(SamplerValidationError,
+                           match=r"^grey sampler: worst deviation \d+\.\d\d sigma > 4\.61$"):
+            run_grey_check("integrability", n=40_000)
+
+    def test_threads_give_the_same_means_and_the_same_error(self, monkeypatch):
+        # the batch sums are added in batch order, whichever thread made them
+        means = {t: run_grey_check("integrability", n=20_000, threads=t).batch_means
+                 for t in (1, 2, 8)}
+        assert means[1] == means[2] == means[8]
+        monkeypatch.setattr(measures, "sample", scaled_sampler(measures.sample))
+        errors = set()
+        for t in (1, 2, 8):
+            with pytest.raises(SamplerValidationError) as exc:
+                run_grey_check("integrability", n=20_000, threads=t)
+            errors.add(str(exc.value))
+        assert len(errors) == 1
+
+
 class TestMomentCheck:
     def test_bounded_observable_has_finite_moments(self):
         from wncalc.chaos import FiniteGaussianModel, chaos_vector
@@ -384,9 +451,6 @@ class TestMomentCheck:
 
         phi = chaos_vector(FiniteGaussianModel(d=3, N=2), {(1, 0, 0): 1.0, (0, 0, 0): 2.0})
         m = MeasureModel(kind="grey", d=3, lam=0.6, sampler_seed=10)
-        true_sample = measures.sample
-        monkeypatch.setattr(
-            measures, "sample", lambda model, n, rng=None: 1.5 * true_sample(model, n, rng)
-        )
+        monkeypatch.setattr(measures, "sample", scaled_sampler(measures.sample))
         with pytest.raises(SamplerValidationError):
             ls_inclusion_check(m, phi, s_list=[1.0, 2.0], n=40_000)
