@@ -79,7 +79,7 @@ def _weight_from_args(args) -> tuple[weights.WeightFunction, dict]:
 
 
 def _at_least(args, flag: str, k: int) -> None:
-    """Refuse a count below k, which would leave the run with nothing to grade."""
+    """Refuse a count below k, the least the run can grade or run with."""
     value = getattr(args, flag)
     if value < k:
         raise ValueError(f"--{flag} must be >= {k}, got {value}")
@@ -142,6 +142,7 @@ def _cmd_duality(args, seed):
 
 
 def _cmd_bell(args, seed):
+    _at_least(args, "count", 1)
     seq = sequences.bell_numbers(args.order, args.count - 1)
     if args.json:
         return ({"order": args.order, "log_values": seq.log_values},
@@ -154,6 +155,7 @@ def _cmd_bell(args, seed):
 
 
 def _cmd_weights_admissible(args, seed):
+    _at_least(args, "nmax", 20)  # check_A2's floor
     u, cfg = _weight_from_args(args)
     alpha = sequences.alpha_from_u(u, args.nmax)
     a1 = sequences.check_A1(alpha)
@@ -413,6 +415,7 @@ def run(argv=None) -> int:
         seed = int(os.environ.get(ENV_SEED, "0"))
     t0 = time.monotonic()
     try:
+        _at_least(args, "threads", 1)
         results, config = args.fn(args, seed)
     except (ValueError, KeyError, OSError, ArithmeticError,
             measures.SamplerValidationError) as exc:

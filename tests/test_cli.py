@@ -120,6 +120,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--threads", "0"], "--threads must be >= 1, got 0"),
+        (["integrability", "--model", "gaussian", "--threads", "-3"],
+         "--threads must be >= 1, got -3"),
+        (["bell", "--order", "2", "--count", "0"], "--count must be >= 1, got 0"),
+        (["weights-admissible", "--nmax", "-1"], "--nmax must be >= 20, got -1"),
+        (["weights-admissible", "--nmax", "19"], "--nmax must be >= 20, got 19"),
+    ])
+    def test_a_count_below_its_floor_names_its_flag(self, capsys, argv, message):
+        # a thread count below 1 ran serially; the others named the library's
+        # n_max, or reported numpy's empty reduction
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("samples", ["0", "3", "7"])
     def test_fewer_samples_than_batches_exit_one_with_one_line(self, capsys, samples):
         argv = ["integrability", "--model", "gaussian", "--dim", "4", "--samples", samples,
@@ -287,6 +303,16 @@ class TestExitCodes:
         assert json.loads(res.stdout)["results"]["integrability"]["verdict"] == "converged"
         assert res.stderr.startswith("wall_time: ") and res.stderr.count("\n") == 1
 
+    def test_grey_lambda_near_zero_passes_the_sampler_gate(self, capsys):
+        # the gate's reference E_lam(-t) came from an integral branch that was wrong
+        # at small lam, and this run failed it at 16.73 sigma
+        argv = ["integrability", "--model", "grey", "--lambda", "0.03", "--beta", "0.97",
+                "--samples", "100000", "--seed", "0"]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert "error:" not in captured.err
+        assert json.loads(captured.out)["results"]["integrability"]["verdict"] == "converged"
+
 
 def test_cli_import_needs_no_scipy():
     code = ("import sys, wncalc.cli; "
@@ -379,7 +405,7 @@ class TestRuntimeWithoutScipy:
         ["chaos-bounds", "--dim", "9", "--degree", "4", "--vectors", "3"],
         # every probe radius is 0, so u and u* take their r = 0 branch
         ["chaos-bounds", "--a", "0", "--vectors", "2", "--sample-per-scale", "3", "--seed", "1"],
-        # the Mittag-Leffler series share one Gamma table
+        # the grey Gram takes both Mittag-Leffler routes: float series and trapezoid
         ["positive-definite", "--model", "grey", "--lambda", "0.28", "--points", "8",
          "--sets", "2", "--seed", "0"],
         # the Hermite u* of a Bell and of a power_exp weight
