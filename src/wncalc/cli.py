@@ -78,11 +78,13 @@ def _weight_from_args(args) -> tuple[weights.WeightFunction, dict]:
     return weights.from_config(cfg), cfg
 
 
-def _at_least(args, flag: str, k: int) -> None:
-    """Refuse a count below k, the least the run can grade or run with."""
+def _at_least(args, flag: str, k: int, most: float = math.inf) -> None:
+    """Refuse a count below k, the least the run can grade or run with, or above most."""
     value = getattr(args, flag)
     if value < k:
         raise ValueError(f"--{flag} must be >= {k}, got {value}")
+    if value > most:
+        raise ValueError(f"--{flag} must be <= {most}, got {value}")
 
 
 def _add_weight_flags(p):
@@ -142,7 +144,7 @@ def _cmd_duality(args, seed):
 
 
 def _cmd_bell(args, seed):
-    _at_least(args, "count", 1)
+    _at_least(args, "count", 1, most=sequences.MAX_BELL_N + 1)  # n_max = count - 1
     seq = sequences.bell_numbers(args.order, args.count - 1)
     if args.json:
         return ({"order": args.order, "log_values": seq.log_values},
@@ -315,9 +317,15 @@ def _bell_triangle(n_max: int) -> list:
 # driver
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one ``error:`` line and exit code 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="wncalc",
-                                description="weight-function calculus verifications")
+    p = _Parser(prog="wncalc", description="weight-function calculus verifications")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${ENV_SEED} or 0)")

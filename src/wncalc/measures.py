@@ -3,9 +3,8 @@ characteristic functionals, positive-definiteness Gram tests, and Monte
 Carlo integrability diagnostics.  A characteristic functional takes a
 (k, d) array of arguments and returns k values, so a Gram matrix is one
 call on its m^2 differences, and a grey one is one Mittag-Leffler call on
-the array of distinct |xi|^2.  E_lambda(-t) is the alternating series in
-doubles where its largest term has at most 3 digits, and the trapezoid rule
-in log s on the Gorenflo-Loutchko-Luchko integral everywhere else.
+the array of distinct |xi|^2.  E_lambda(-t) is the trapezoid rule in log s
+on the Gorenflo-Loutchko-Luchko integral for every t > 0 and 0 < lambda < 1.
 
 The grey-noise sampler uses the Gaussian scale-mixture representation
 x = sqrt(2) S^(-lambda/2) z with S a one-sided stable variable (Kanter's
@@ -56,42 +55,7 @@ class SamplerValidationError(RuntimeError):
 # Mittag-Leffler function on the negative axis
 
 
-_ML_FLOAT_DIGITS = 3.0  # largest peak series term, in digits, that doubles sum safely
 _ML_V_LO = math.log(1e-17)  # left end of the trapezoid in v = log s
-
-
-def _ml_series_peak_log(lam: float, t: float) -> float:
-    """Natural log of the largest term t^n/Gamma(1+lam n), found by scan.  The scan
-    stops at the first term past _ML_FLOAT_DIGITS digits: mittag_leffler takes the
-    trapezoid for such a t whatever its exact peak."""
-    logt = math.log(t)
-    best = 0.0
-    n = 1
-    while n <= 2_000_000:
-        v = n * logt - math.lgamma(1.0 + lam * n)
-        if v > best:
-            best = v
-            if best / math.log(10.0) > _ML_FLOAT_DIGITS:  # the caller's test
-                break
-        elif v < best - 60.0:
-            break
-        n += 1
-    return best
-
-
-def _ml_float_series(lam: float, t: float) -> float:
-    # safe in doubles only while the peak term is small (checked by caller)
-    logt = math.log(t)
-    terms = []
-    n = 0
-    while True:
-        lg = math.lgamma(1.0 + lam * n)
-        v = n * logt - lg
-        if n > 4 and v < -45.0:
-            break
-        terms.append((-1.0) ** n * math.exp(v))
-        n += 1
-    return math.fsum(terms)
 
 
 def _ml_trapezoid(lam: float, t: float) -> float:
@@ -104,7 +68,9 @@ def _ml_trapezoid(lam: float, t: float) -> float:
     |Im v| < pi lam / 2, and the integrand has poles at v = +-i eps,
     eps = pi (1 - lam), so the step h = 2 pi (0.9 d) / log 1e16 with
     d = min(eps, pi lam / 2) leaves a discretization error near 1e-16.  The
-    nodes are h (k + 1/2), from log 1e-17 up to where (t e^v)^(1/lam) = 45.
+    nodes are h (k + 1/2), from log 1e-17 up to where (t e^v)^(1/lam) = 45,
+    but not past log 1e17: the integrand is below 1e-17 there, and for a tiny
+    t the first end would overflow e^v.
 
     For lam > 3/4 the pole parts are taken out instead, so that the step
     does not shrink like 1 - lam: the real function
@@ -123,11 +89,9 @@ def _ml_trapezoid(lam: float, t: float) -> float:
     poles = lam > 0.75
     # 2 pi (0.9 d) / log 1e16, with d = pi lam / 2 or d = eps
     h = 0.9 * math.pi**2 * (lam if poles else min(lam, 2.0 * (1.0 - lam))) / math.log(1e16)
+    v_hi = -_ML_V_LO if poles else min(lam * math.log(45.0) - logt, -_ML_V_LO)
     if poles:  # g(i eps), with |g(i eps)| <= 1 because eps / lam < pi / 2
         g = cmath.exp(-math.exp(logt / lam) * cmath.exp(1j * math.pi * (1.0 - lam) / lam))
-        v_hi = -_ML_V_LO
-    else:
-        v_hi = lam * math.log(45.0) - logt
     k_hi = math.floor(v_hi / h - 0.5)
     step = _BLOCK_BYTES // 8
     total = 0.0
@@ -147,18 +111,17 @@ def mittag_leffler(lam: float, t):
 
     ``t`` is a float, giving a float, or a 1-D array, giving a float64 array
     of the same length; each t is evaluated on its own, so an array gives the
-    bits of one call per element.  lam = 1 is exp(-t) and t = 0 is 1.  A t
-    whose largest series term has at most 3 digits sums the alternating
-    series in doubles, to about 1e-11 relative; every other t takes the
-    trapezoid rule in log s of ``_ml_trapezoid``, to about 1e-15 relative
-    (tests/test_mittag_leffler_oracle.py holds the 40-digit references).
+    bits of one call per element.  lam = 1 is exp(-t) and t = 0 is 1; every
+    other t takes the trapezoid rule in log s of ``_ml_trapezoid``, to about
+    1e-15 relative (tests/test_mittag_leffler_oracle.py holds the 40-digit
+    references).
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must be in (0, 1]")
     arr = np.asarray(t, dtype=float)
     if arr.ndim > 1:
         raise ValueError("t must be a float or a 1-D array")
-    if not np.all(arr >= 0):  # NaN too: the series would never stop
+    if not np.all(arr >= 0):  # NaN fails this too
         raise ValueError("t must be >= 0")
     over = arr[arr > ML_T_MAX]
     if over.size:
@@ -169,8 +132,6 @@ def mittag_leffler(lam: float, t):
             out.append(1.0)
         elif lam == 1.0:
             out.append(math.exp(-s))
-        elif _ml_series_peak_log(lam, s) / math.log(10.0) <= _ML_FLOAT_DIGITS:
-            out.append(_ml_float_series(lam, s))
         else:
             out.append(_ml_trapezoid(lam, s))
     if arr.ndim == 0:

@@ -136,6 +136,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_a_count_past_its_ceiling_names_its_flag(self, capsys):
+        # it named the library's n_max = count - 1
+        assert run(["bell", "--order", "2", "--count", "600"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --count must be <= 513, got 600\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dual", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
+        (["bell", "--order", "2"], "the following arguments are required: --count"),
+        (["classify", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_a_parse_error_exits_one_with_one_line(self, capsys, argv, message):
+        # argparse wrote its usage block above the error line
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["dual", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ")
+        assert captured.err == ""
+
     @pytest.mark.parametrize("samples", ["0", "3", "7"])
     def test_fewer_samples_than_batches_exit_one_with_one_line(self, capsys, samples):
         argv = ["integrability", "--model", "gaussian", "--dim", "4", "--samples", samples,
@@ -405,7 +430,7 @@ class TestRuntimeWithoutScipy:
         ["chaos-bounds", "--dim", "9", "--degree", "4", "--vectors", "3"],
         # every probe radius is 0, so u and u* take their r = 0 branch
         ["chaos-bounds", "--a", "0", "--vectors", "2", "--sample-per-scale", "3", "--seed", "1"],
-        # the grey Gram takes both Mittag-Leffler routes: float series and trapezoid
+        # a grey Gram below lambda = 3/4, where the trapezoid keeps its poles
         ["positive-definite", "--model", "grey", "--lambda", "0.28", "--points", "8",
          "--sets", "2", "--seed", "0"],
         # the Hermite u* of a Bell and of a power_exp weight

@@ -63,6 +63,18 @@ class TestMittagLeffler:
             want = math.exp(t * t) * special.erfc(t)
             assert mittag_leffler(0.5, t) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("lam", [0.02, 0.3, 0.7, 0.9])  # 0.9 takes out the poles
+    def test_tiny_t_is_one_minus_the_first_term(self, lam):
+        # the trapezoid ends where (t e^v)^(1/lam) = 45, so its e^v would
+        # overflow at a tiny t without the cap at log 1e17 (pyproject makes
+        # the RuntimeWarning an error)
+        ts = [5e-324, 1e-300, 1e-12]
+        got = mittag_leffler(lam, np.array(ts)).tolist()
+        assert got == [mittag_leffler(lam, t) for t in ts]
+        for t, value in zip(ts, got):
+            assert math.isfinite(value)
+            assert abs(value - (1.0 - t / math.gamma(1.0 + lam))) <= 4.5e-16, t
+
     def test_values_are_probabilistic(self):
         ts = np.linspace(0.0, 30.0, 40)
         for lam in (0.3, 0.7):
@@ -79,7 +91,7 @@ class TestMittagLeffler:
             mittag_leffler(0.5, -1.0)
 
     def test_nan_argument_is_rejected(self):
-        # NaN passes a `t < 0` test, and the float series never ends on it
+        # NaN passes a `t < 0` test, and gives the trapezoid no node count
         with pytest.raises(ValueError, match="t must be >= 0"):
             mittag_leffler(0.5, math.nan)
 
@@ -93,23 +105,6 @@ class TestMittagLefflerArray:
         want = [mittag_leffler(0.35, t) for t in ts.tolist()]
         assert all(type(v) is float for v in want)
         assert got.tolist() == want
-
-    def test_peak_scan_stops_past_the_float_series_cutoff(self):
-        # past 3 digits mittag_leffler takes the trapezoid whatever the exact peak,
-        # which at this point has 25 642 digits
-        digits = measures._ml_series_peak_log(0.1, 3.0) / math.log(10.0)
-        assert 3.0 < digits < 4.0
-
-    def test_peak_scan_keeps_the_float_series_route(self):
-        def full_scan(lam, t):  # the largest term t^n/Gamma(1+lam n), scanned to the end
-            terms = [n * math.log(t) - math.lgamma(1.0 + lam * n) for n in range(1, 5000)]
-            return max(0.0, *terms) / math.log(10.0)
-
-        for lam in (0.1, 0.3, 0.5, 0.9, 0.99):
-            for t in (0.5, 1.5, 3.0, 5.0, 9.0, 10.0, 30.0):
-                got = measures._ml_series_peak_log(lam, t) / math.log(10.0)
-                want = full_scan(lam, t)
-                assert got == want if want <= 3.0 else 3.0 < got <= want, (lam, t)
 
     @pytest.mark.parametrize("bad, message", [(math.nan, "t must be >= 0"),
                                               (-1.0, "t must be >= 0"),
@@ -176,6 +171,17 @@ class TestCharacteristicFunctionals:
         model = MeasureModel(kind=kind, d=6, lam=0.5, intensity=2.0)
         pts = np.random.default_rng(4).standard_normal((9, 6)) / math.sqrt(6)
         assert check_positive_definite(model.char_fn, pts) == reference_gram_report(model, pts)
+
+    @pytest.mark.parametrize("seed", [1665745142, 845780591, 1085528755, 399234591,
+                                      1671218167, 459072302, 7, 0])
+    def test_half_grey_gram_of_verify_all_against_erfcx(self, seed):
+        # verify-all's Gram: E_1/2(-t) = erfcx(t), a closed form in scipy
+        model = MeasureModel(kind="grey", d=6, lam=0.5, sampler_seed=seed)
+        pts = np.random.default_rng(seed).standard_normal((8, 6)) / math.sqrt(6)
+        t = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        want = float(np.linalg.eigvalsh(special.erfcx(t)).min())
+        got = check_positive_definite(model.char_fn, pts).min_eigenvalue
+        assert abs(got - want) <= 1e-14, got - want
 
 
 class TestGreyMemo:
