@@ -9,7 +9,8 @@ validation), reported as one ``error: ...`` line on stderr.
 
 Reports are byte-identical for the same resolved config and seed: keys
 are sorted, floats use repr, and wall time goes to stderr so it never
-perturbs the report bytes.
+perturbs the report bytes.  ``run`` alone builds the ``config_digest`` (see
+``_digest``); the subcommand bodies return their results and nothing else.
 """
 
 from __future__ import annotations
@@ -60,22 +61,29 @@ def _collect_verdicts(tree, out):
             _collect_verdicts(v, out)
 
 
-def _digest(config: dict) -> str:
-    blob = json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
+def _digest(args, seed: int) -> str:
+    """Hash the subcommand, the resolved seed and every other argument, bar --out and
+    --threads (they change no report byte); the resolved weight config, the --config
+    file's content rather than its path, stands in for the weight flags."""
+    skip = {"out", "threads", "fn"}
+    if hasattr(args, "weight"):
+        skip |= {"family", "beta", "order", "r_max", "config"}
+    config = {**{k: v for k, v in vars(args).items() if k not in skip}, "seed": seed}
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _weight_from_args(args) -> tuple[weights.WeightFunction, dict]:
-    if getattr(args, "config", None):
+def _weight_config(args) -> dict:
+    """The content of the --config file, or the {family, params, r_max} the flags give."""
+    if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-        return weights.from_config(cfg), cfg
-    cfg = {"family": args.family, "params": {}, "r_max": getattr(args, "r_max", None)}
+            return json.load(fh)
+    cfg = {"family": args.family, "params": {}, "r_max": args.r_max}
     if args.family == "power_exp":
         cfg["params"]["beta"] = args.beta
     elif args.family in ("bell", "sqrt_log"):
         cfg["params"]["k"] = args.order
-    return weights.from_config(cfg), cfg
+    return cfg
 
 
 def _at_least(args, flag: str, k: int, most: float = math.inf) -> None:
@@ -99,21 +107,21 @@ def _add_weight_flags(p):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies (each returns a JSON-able results tree)
+# subcommand bodies (each returns a results tree, dataclasses allowed, or plain text)
 
 
 def _cmd_classify(args, seed):
-    u, cfg = _weight_from_args(args)
+    u = weights.from_config(args.weight)
     rep = weights.classify(u, r_max=args.classify_r_max)
     out = _jsonable(rep)
     if not args.full:
         out.pop("ratios", None)
-    return {"weight": _jsonable(u), "membership": out}, cfg
+    return {"weight": u, "membership": out}
 
 
 def _cmd_legendre(args, seed):
     _at_least(args, "nmax", 0)
-    u, cfg = _weight_from_args(args)
+    u = weights.from_config(args.weight)
     t_grid = [float(t) for t in range(args.nmax + 1)]
     res = legendre.legendre_transform(u, t_grid)
     table = {"t_grid": t_grid, "log_ell": res.log_value.tolist(), "argmin_r": res.arg_r.tolist(),
@@ -121,53 +129,44 @@ def _cmd_legendre(args, seed):
     if args.csv:
         lines = [f"{t!r},{math.exp(v) if v < 700 else math.inf!r},{r!r},{s}\n"
                  for t, v, r, s in zip(*table.values())]
-        return {"csv": "".join(["t,ell,argmin_r,status\n", *lines])}, cfg
-    return {"weight": _jsonable(u), "table": table}, cfg
+        return {"csv": "".join(["t,ell,argmin_r,status\n", *lines])}
+    return {"weight": u, "table": table}
 
 
 def _cmd_dual(args, seed):
     _at_least(args, "points", 1)
-    u, cfg = _weight_from_args(args)
+    u = weights.from_config(args.weight)
     if not 0.0 < args.r_lo <= args.r_hi < math.inf:
         raise ValueError("need finite radii 0 < --r-lo <= --r-hi,"
                          f" got {args.r_lo!r} and {args.r_hi!r}")
     rs = np.geomspace(args.r_lo, args.r_hi, args.points)
     res = legendre.dual_function(u, rs)
-    return {"weight": _jsonable(u), "r": rs.tolist(), "log_ustar": res.log_value.tolist(),
-            "argmax_s": res.arg_r.tolist()}, cfg
+    return {"weight": u, "r": rs.tolist(), "log_ustar": res.log_value.tolist(),
+            "argmax_s": res.arg_r.tolist()}
 
 
 def _cmd_duality(args, seed):
-    u, cfg = _weight_from_args(args)
+    u = weights.from_config(args.weight)
     rep = legendre.verify_dual_sequence(u, args.nmax)
-    return {"weight": _jsonable(u), "equivalence": _jsonable(rep)}, cfg
+    return {"weight": u, "equivalence": rep}
 
 
 def _cmd_bell(args, seed):
     _at_least(args, "count", 1, most=sequences.MAX_BELL_N + 1)  # n_max = count - 1
     seq = sequences.bell_numbers(args.order, args.count - 1)
     if args.json:
-        return ({"order": args.order, "log_values": seq.log_values},
-                {"order": args.order, "count": args.count, "json": True})
+        return {"order": args.order, "log_values": seq.log_values}
     if seq.exact_values is not None and args.order <= 2:
-        lines = [str(v) for v in seq.exact_values]
-    else:
-        lines = [repr(math.exp(v)) for v in seq.log_values]
-    return {"_plain": "\n".join(lines)}, {"order": args.order, "count": args.count}
+        return "\n".join(str(v) for v in seq.exact_values)
+    return "\n".join(repr(math.exp(v)) for v in seq.log_values)
 
 
 def _cmd_weights_admissible(args, seed):
     _at_least(args, "nmax", 20)  # check_A2's floor
-    u, cfg = _weight_from_args(args)
+    u = weights.from_config(args.weight)
     alpha = sequences.alpha_from_u(u, args.nmax)
-    a1 = sequences.check_A1(alpha)
-    a2 = sequences.check_A2(alpha)
-    return {
-        "weight": _jsonable(u),
-        "A1": _jsonable(a1),
-        "A2": _jsonable(a2),
-        "log_alpha": alpha.log_values,
-    }, cfg
+    return {"weight": u, "A1": sequences.check_A1(alpha), "A2": sequences.check_A2(alpha),
+            "log_alpha": alpha.log_values}
 
 
 def _damping(model):
@@ -187,7 +186,7 @@ def _random_vector(model, rng, role, damp):
 
 def _cmd_chaos_bounds(args, seed):
     _at_least(args, "vectors", 1)
-    u, cfg = _weight_from_args(args)
+    u = weights.from_config(args.weight)
     model = chaos.FiniteGaussianModel(d=args.dim, N=args.degree)
     rng = np.random.default_rng(seed)
     sample = chaos.gaussian_sample(rng, args.sample_per_scale, args.dim)
@@ -197,14 +196,12 @@ def _cmd_chaos_bounds(args, seed):
         return (_random_vector(model, rng, role, damp) for _ in range(args.vectors))
 
     reports = {
-        "test": _jsonable(chaos.check_test_bound(draws(chaos.ROLE_TEST), u, args.a,
-                                                 p=args.p, q=args.q, sample=sample)),
-        "distribution": _jsonable(chaos.check_dist_bound(draws(chaos.ROLE_DISTRIBUTION), u,
-                                                         args.a, p=args.q, q=args.p,
-                                                         sample=sample)),
+        "test": chaos.check_test_bound(draws(chaos.ROLE_TEST), u, args.a,
+                                       p=args.p, q=args.q, sample=sample),
+        "distribution": chaos.check_dist_bound(draws(chaos.ROLE_DISTRIBUTION), u,
+                                               args.a, p=args.q, q=args.p, sample=sample),
     }
-    return {"weight": _jsonable(u), "model": {"d": args.dim, "N": args.degree},
-            "reports": reports}, cfg
+    return {"weight": u, "model": {"d": args.dim, "N": args.degree}, "reports": reports}
 
 
 def _measure_from_args(args, seed) -> measures.MeasureModel:
@@ -221,27 +218,15 @@ def _cmd_positive_definite(args, seed):
     reports = []
     for _ in range(args.sets):
         pts = rng.standard_normal((args.points, args.dim)) / math.sqrt(args.dim)
-        reports.append(_jsonable(
-            measures.check_positive_definite(model.char_fn, pts, tol=args.tol)
-        ))
-    config = {"model": args.model, "lam": args.lam, "intensity": args.intensity,
-              "dim": args.dim, "points": args.points, "sets": args.sets, "tol": args.tol}
-    return {"model": _jsonable(model), "gram_reports": reports}, config
+        reports.append(measures.check_positive_definite(model.char_fn, pts, tol=args.tol))
+    return {"model": model, "gram_reports": reports}
 
 
 def _cmd_integrability(args, seed):
     model = _measure_from_args(args, seed)
-    u, cfg = _weight_from_args(args)
-    rep = measures.integrability_check(
-        model, u, p=args.p, n=args.samples, threads=args.threads,
-    )
-    out = _jsonable(rep)
-    if args.batch_csv:
-        out["batch_csv"] = "batch,mean\n" + "\n".join(
-            f"{i},{m!r}" for i, m in enumerate(rep.batch_means)
-        ) + "\n"
-    return {"measure": _jsonable(model), "weight": _jsonable(u),
-            "integrability": out}, {"measure": _jsonable(model), "weight_cfg": cfg}
+    u = weights.from_config(args.weight)
+    rep = measures.integrability_check(model, u, p=args.p, n=args.samples, threads=args.threads)
+    return {"measure": model, "weight": u, "integrability": rep}
 
 
 def _cmd_verify_all(args, seed):
@@ -252,7 +237,7 @@ def _cmd_verify_all(args, seed):
     results["classify"] = _jsonable(weights.classify(v0, r_max=1e6))
     results["classify"].pop("ratios", None)
 
-    results["duality"] = _jsonable(legendre.verify_dual_sequence(v0, 20))
+    results["duality"] = legendre.verify_dual_sequence(v0, 20)
 
     bell = sequences.bell_numbers(2, 10)
     triangle = _bell_triangle(10)
@@ -263,8 +248,8 @@ def _cmd_verify_all(args, seed):
 
     alpha = sequences.alpha_from_u(weights.power_exp(0.5), 40)
     results["admissible"] = {
-        "A1": _jsonable(sequences.check_A1(alpha)),
-        "A2": _jsonable(sequences.check_A2(alpha)),
+        "A1": sequences.check_A1(alpha),
+        "A2": sequences.check_A2(alpha),
     }
 
     model = chaos.FiniteGaussianModel(d=4, N=6)
@@ -276,17 +261,14 @@ def _cmd_verify_all(args, seed):
                         _random_vector(model, rng, chaos.ROLE_DISTRIBUTION, damp))
                        for _ in range(5)])
     results["chaos_bounds"] = {
-        "test": _jsonable(chaos.check_test_bound(phis, v0, 0.1, p=2, q=0, sample=sample)),
-        "distribution": _jsonable(chaos.check_dist_bound(Phis, v0, 0.1, p=0, q=2,
-                                                         sample=sample)),
+        "test": chaos.check_test_bound(phis, v0, 0.1, p=2, q=0, sample=sample),
+        "distribution": chaos.check_dist_bound(Phis, v0, 0.1, p=0, q=2, sample=sample),
     }
 
     grey = measures.MeasureModel(kind=measures.KIND_GREY, d=6, lam=0.5,
                                  sampler_seed=seed)
     pts = np.random.default_rng(seed).standard_normal((8, 6)) / math.sqrt(6)
-    results["positive_definite"] = _jsonable(
-        measures.check_positive_definite(grey.char_fn, pts)
-    )
+    results["positive_definite"] = measures.check_positive_definite(grey.char_fn, pts)
 
     lam = grey.lam
     u_int = weights.WeightFunction(
@@ -294,11 +276,10 @@ def _cmd_verify_all(args, seed):
         lambda r: 0.5 * (2.0 - lam) * weights.libm_map(pow, r, 1.0 / (2.0 - lam)),
         r_max=1e30, params={"lam": lam},
     )
-    results["integrability"] = _jsonable(measures.integrability_check(
+    results["integrability"] = measures.integrability_check(
         grey, u_int, p=1.0, n=20_000, threads=args.threads,
-    ))
-
-    return results, {"seed": seed, "suite": "verify-all"}
+    )
+    return results
 
 
 def _bell_triangle(n_max: int) -> list:
@@ -400,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=20)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--batch-csv", action="store_true")
     sp.set_defaults(fn=_cmd_integrability)
 
     sp = add_parser("verify-all", help="reduced deterministic verification suite")
@@ -424,26 +404,28 @@ def run(argv=None) -> int:
     t0 = time.monotonic()
     try:
         _at_least(args, "threads", 1)
-        results, config = args.fn(args, seed)
+        if hasattr(args, "family"):  # the subcommands with weight flags
+            args.weight = _weight_config(args)
+        results = args.fn(args, seed)
     except (ValueError, KeyError, OSError, ArithmeticError,
             measures.SamplerValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.monotonic() - t0
 
-    if "_plain" in results:
-        text = results["_plain"] + "\n"
-        verdicts = []
+    verdicts = []
+    if isinstance(results, str):
+        text = results + "\n"
     else:
+        results = _jsonable(results)
         report = {
             "subcommand": args.subcommand,
             "seed": seed,
-            "config_digest": _digest({"config": config, "seed": seed}),
+            "config_digest": _digest(args, seed),
             "results": results,
         }
         text = json.dumps(report, sort_keys=True, separators=(",", ": "),
                           indent=1) + "\n"
-        verdicts = []
         _collect_verdicts(results, verdicts)
 
     if args.out:

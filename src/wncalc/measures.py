@@ -56,6 +56,7 @@ class SamplerValidationError(RuntimeError):
 
 
 _ML_V_LO = math.log(1e-17)  # left end of the trapezoid in v = log s
+_ML_MAX_NODES = 10**8  # per t; the trapezoid's node count grows like 1/lam
 
 
 def _ml_trapezoid(lam: float, t: float) -> float:
@@ -114,10 +115,15 @@ def mittag_leffler(lam: float, t):
     bits of one call per element.  lam = 1 is exp(-t) and t = 0 is 1; every
     other t takes the trapezoid rule in log s of ``_ml_trapezoid``, to about
     1e-15 relative (tests/test_mittag_leffler_oracle.py holds the 40-digit
-    references).
+    references).  A lam below about 3.2e-6, where a t could take more than
+    ``_ML_MAX_NODES`` nodes, is refused with a ValueError.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must be in (0, 1]")
+    # nodes over the widest span, -2 _ML_V_LO, at the step 0.9 pi^2 lam / log 1e16
+    if -2.0 * _ML_V_LO * math.log(1e16) / (0.9 * math.pi**2 * lam) > _ML_MAX_NODES:
+        raise ValueError(f"lambda={lam!r} would take more than {_ML_MAX_NODES:.0e} Mittag-Leffler"
+                         " nodes per t; the lambda -> 0 step of ROADMAP item 8 is open")
     arr = np.asarray(t, dtype=float)
     if arr.ndim > 1:
         raise ValueError("t must be a float or a 1-D array")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +148,8 @@ class TestExitCodes:
         (["dual", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
         (["bell", "--order", "2"], "the following arguments are required: --count"),
         (["classify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["integrability", "--model", "gaussian", "--batch-csv"],
+         "unrecognized arguments: --batch-csv"),
     ])
     def test_a_parse_error_exits_one_with_one_line(self, capsys, argv, message):
         # argparse wrote its usage block above the error line
@@ -169,6 +172,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: need at least N_BATCHES=8 samples, one per batch, got {samples}\n"
+
+    def test_a_tiny_grey_lambda_exits_one_within_a_second(self, capsys):
+        # the Mittag-Leffler trapezoid took about 325 / lambda nodes per t: no
+        # result within 20 s
+        t0 = time.perf_counter()
+        assert run(["positive-definite", "--model", "grey", "--lambda", "1e-9",
+                    "--points", "2", "--sets", "1"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: lambda=1e-09 would take more than 1e\+08 [^\n]*\n",
+                            captured.err)
 
     def test_tower_overflow_exits_one_with_one_line(self, capsys):
         assert run(["classify", "--family", "bell", "--order", "14"]) == 1
@@ -551,6 +566,52 @@ class TestReports:
         monkeypatch.setenv("WNCALC_SEED", "23")
         _, out = run_cli(["classify"], capsys)
         assert json.loads(out)["seed"] == 23
+
+    # each pair shared one digest while only the weight config went into it
+    DISTINCT = [
+        ["legendre", "--nmax", "5"], ["legendre", "--nmax", "10"],
+        ["dual", "--points", "8"], ["dual", "--points", "16"],
+        ["duality", "--nmax", "20"], ["duality", "--nmax", "30"],
+        ["weights-admissible", "--nmax", "30"], ["weights-admissible", "--nmax", "40"],
+        ["classify"], ["classify", "--grid-r-max", "1e4"],
+        ["chaos-bounds", "--dim", "3", "--vectors", "1"],
+    ]
+
+    @staticmethod
+    def digest(argv, capsys):
+        code, out = run_cli(argv, capsys)
+        assert code in (0, 2), argv
+        return json.loads(out)["config_digest"]
+
+    def test_distinct_runs_give_distinct_digests(self, capsys):
+        digests = [self.digest(argv, capsys) for argv in self.DISTINCT]
+        assert len(set(digests)) == len(self.DISTINCT)
+
+    @pytest.mark.parametrize("flags", [["--samples", "2000"], ["--p", "2"]])
+    def test_integrability_digest_covers_samples_and_p(self, capsys, flags):
+        argv = ["integrability", "--model", "gaussian", "--dim", "4", "--samples", "1000",
+                "--seed", "0"]
+        assert self.digest(argv, capsys) != self.digest([*argv, *flags], capsys)
+
+    def test_threads_and_out_leave_the_digest(self, capsys, tmp_path):
+        argv = ["verify-all", "--seed", "7"]
+        digest = self.digest([*argv, "--threads", "1"], capsys)
+        assert self.digest([*argv, "--threads", "4"], capsys) == digest
+        path = tmp_path / "report.json"
+        assert run_cli([*argv, "--out", str(path)], capsys) == (0, "")
+        assert json.loads(path.read_text())["config_digest"] == digest
+
+    def test_digest_covers_the_config_content_not_its_path(self, capsys, tmp_path):
+        text = '{"family": "power_exp", "params": {"beta": 0.25}, "r_max": 1e20}'
+        paths = [tmp_path / "a.json", tmp_path / "b" / "w.json"]
+        paths[1].parent.mkdir()
+        for path in paths:
+            path.write_text(text)
+        argv = ["duality", "--nmax", "20", "--config"]
+        digest = self.digest([*argv, str(paths[0])], capsys)
+        assert self.digest([*argv, str(paths[1])], capsys) == digest
+        paths[1].write_text(text.replace("0.25", "0.3"))
+        assert self.digest([*argv, str(paths[1])], capsys) != digest
 
     def test_weight_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "w.json"

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -94,6 +95,21 @@ class TestMittagLeffler:
         # NaN passes a `t < 0` test, and gives the trapezoid no node count
         with pytest.raises(ValueError, match="t must be >= 0"):
             mittag_leffler(0.5, math.nan)
+
+    def test_a_tiny_lambda_is_refused_before_any_node(self):
+        # about 325 / lam nodes per t: lam = 1e-9 did not return within 20 s
+        t0 = time.perf_counter()
+        for t in (2.0, 0.0, np.array([0.5, 2.0])):
+            with pytest.raises(ValueError, match=r"^lambda=1e-09 would take more than 1e\+08"):
+                mittag_leffler(1e-9, t)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.02])
+    def test_small_lambdas_above_the_floor_keep_their_bits(self, lam):
+        # the refusal reads lam alone, so a lam above it takes the trapezoid as before
+        ts = [1e-9, 0.5, 2.0, 50.0]
+        want = [measures._ml_trapezoid(lam, t) for t in ts]
+        assert mittag_leffler(lam, np.array(ts)).tolist() == want
 
 
 class TestMittagLefflerArray:
