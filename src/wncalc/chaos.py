@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-import mpmath as mp
 import numpy as np
 
 from .legendre import dual_of, log_ell_sequence, log_factorial
@@ -29,9 +28,14 @@ ROLE_TEST = "test"
 ROLE_DISTRIBUTION = "distribution"
 
 SAMPLE_SCALES = (0.5, 1.0, 2.0, 4.0)
-# bytes of one block: rows of a mode-product or monomial matrix, or the
-# coefficients of one chunk of a bound-check batch
+# bytes of one block of rows of a mode-product matrix
 _BLOCK_BYTES = 1 << 20
+# rows of either GEMM operand of an S-transform: the vectors of one chunk and the
+# probes of one tile, so every value comes from one (16, K) x (K, 16) GEMM.  With
+# OpenBLAS 0.3.31 on x86-64 such a GEMM gave each entry the same bits whatever the
+# other rows and columns held, and at 1, 2 and 4 BLAS threads (K from 1 to 20 000);
+# wider probe tiles changed bits with the thread count
+_TILE = 16
 
 
 class ModelMismatchError(ValueError):
@@ -59,6 +63,8 @@ def hs_norm_inclusion(q: float, p: float, d: int | None = None) -> float:
         return float(np.sum(oscillator_eigenvalues(d) ** (-s)))
     if s <= 1.0:
         raise ArithmeticError("series diverges for q - p <= 1 in infinite dimension")
+    import mpmath as mp  # only this branch needs it, so importing wncalc does not
+
     return float(2**-s * mp.zeta(s))
 
 
@@ -95,14 +101,10 @@ class FiniteGaussianModel:
             blocks.append(rows)
         idx = np.concatenate(blocks)
         degrees = idx.sum(axis=1)
-        # log n! - sum_j log m_j!, summed mode by mode as the scalar sum() did:
-        # np.sum(axis=1) sums pairwise from d = 8 on and changes bits
-        acc = np.zeros(len(idx))
-        for j in range(self.d):
-            acc = acc + lf[idx[:, j]]
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "log_mult", lf[degrees] - acc)
+        # log n! - sum_j log m_j!
+        object.__setattr__(self, "log_mult", lf[degrees] - lf[idx].sum(axis=1))
         object.__setattr__(self, "mult", np.exp(self.log_mult))
         object.__setattr__(self, "log_eigen_products", idx @ np.log(self.eigenvalues))
         object.__setattr__(self, "log_factorials", lf)
@@ -178,15 +180,14 @@ def _norm_weights(model: FiniteGaussianModel, log_ell: np.ndarray, p: float) -> 
     return np.exp(model.log_mult + model.mode_log_weights(p) - log_ell[model.degrees])
 
 
-def _weighted_norms(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(sum_m weights_m |c_m|^2)^(1/2) of one coefficient vector or of each row of a
-    (V, K) block: both sum along the last axis, so a row gets one vector's bits."""
-    return np.sqrt(np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
+def _weighted_norm(weights: np.ndarray, coeffs: np.ndarray) -> float:
+    """(sum_m weights_m |c_m|^2)^(1/2) of one coefficient vector."""
+    return math.sqrt(float(np.sum(weights * np.abs(coeffs) ** 2)))
 
 
 def weighted_norm(phi: ChaosVector, log_ell: np.ndarray, p: float) -> float:
     """(sum_n |f_n|_p^2 / ell(n))^(1/2) for an explicit log ell sequence."""
-    return float(_weighted_norms(_norm_weights(phi.model, log_ell, p), phi.coeffs))
+    return _weighted_norm(_norm_weights(phi.model, log_ell, p), phi.coeffs)
 
 
 def test_norm(phi: ChaosVector, u: WeightFunction, p: float) -> float:
@@ -218,48 +219,28 @@ def pairing(Phi: ChaosVector, phi: ChaosVector) -> complex:
 # coherent states and transforms
 
 
-def _times(a, b):
-    """a * b elementwise for real ``(x,)`` or complex ``(re, im)`` planes.
-
-    The complex product is Python's, (ar*br - ai*bi, ar*bi + ai*br): numpy's
-    contiguous complex ``*`` is a SIMD loop whose bits differ."""
-    if len(a) == 1:
-        return (a[0] * b[0],)
-    (ar, ai), (br, bi) = a, b
-    re = ar * br
-    re -= ai * bi
-    im = ar * bi
-    im += ai * br
-    return re, im
-
-
 def _mode_products(model: FiniteGaussianModel, table: np.ndarray) -> np.ndarray:
     """prod_j table[s, j, m_j] per row s and multi-index m from (S, d, N+1) factors.
 
     The products go mode by mode over shared prefixes (``model.prefix_plan``):
     mode j multiplies the product of each distinct (m_0..m_{j-1}) by its
-    factor, from 1 and left to right as ``np.prod`` does, and the last mode
-    gives the multi-indices in model order.  At d = 6, N = 10 that is 12 364
-    products per row, not 40 040.  A complex table is multiplied on its real
-    and imaginary planes (``_times``).  Rows go in blocks of a quarter of
-    ``_BLOCK_BYTES`` per (rows, K) float64 plane: the last mode holds several
-    such planes at once.
+    factor, and the last mode gives the multi-indices in model order.  At
+    d = 6, N = 10 that is 12 364 products per row, not 40 040.  A real or
+    complex table takes numpy's own ``*``.  Rows go in blocks of a quarter of
+    ``_BLOCK_BYTES`` per (rows, K) float64 array, twice that for a complex one:
+    the last mode holds several such arrays at once.
     """
     S, width = table.shape[:2]
     if width != model.d:
         raise ValueError(f"sample rows must have {model.d} entries, got {width}")
     out = np.empty((S, model.n_coeffs), dtype=table.dtype)
-    planes, dests = (((table.real, table.imag), (out.real, out.imag))
-                     if np.iscomplexobj(table) else ((table,), (out,)))
     step = max(1, _BLOCK_BYTES // (4 * model.n_coeffs * 8))
     for lo in range(0, S, step):
-        rows = [x[lo:lo + step] for x in planes]
-        P = [np.ones((len(rows[0]), 1)), np.zeros((len(rows[0]), 1))][:len(planes)]
+        rows = table[lo:lo + step]
+        P = np.ones((len(rows), 1), dtype=table.dtype)
         for j, (parent, col) in enumerate(model.prefix_plan):
-            P = _times([np.take(p, parent, axis=1) for p in P],
-                       [np.take(x[:, j], col, axis=1) for x in rows])
-        for dest, p in zip(dests, P):
-            dest[lo:lo + step] = p
+            P = np.take(P, parent, axis=1) * np.take(rows[:, j], col, axis=1)
+        out[lo:lo + step] = P
     return out
 
 
@@ -282,19 +263,20 @@ def _probes(sample) -> np.ndarray:
 
 
 def _monomials(model: FiniteGaussianModel, xis: np.ndarray) -> np.ndarray:
-    """xi^m for each sample row and multi-index: (S, K) complex.
+    """xi^m for each probe row of ``_probes`` and multi-index, with zero probes
+    appended up to a multiple of ``_TILE`` rows: (S', K) complex.
 
-    ``_mode_products`` builds it from the (S, d, N+1) table of powers xi_j^k.
+    ``_mode_products`` builds it from the (S', d, N+1) table of powers xi_j^k.
     Repeated transforms of many vectors against one probe sample dominate
     the bound-check suites, so the model keeps the matrix of the last
     sample it saw: 16 MB at d = 6, N = 10 and 128 probes.
-    ``s_transform_many`` reads it in row blocks of about ``_BLOCK_BYTES``.
     """
-    xis = _probes(xis)
     key = (xis.shape, xis.tobytes())
     hit = model._memo.get("monomials")
     if hit is None or hit[0] != key:
-        hit = (key, _mode_products(model, xis[:, :, None] ** np.arange(model.N + 1)))
+        padded = np.zeros((-(-len(xis) // _TILE) * _TILE, xis.shape[1]), dtype=complex)
+        padded[:len(xis)] = xis
+        hit = (key, _mode_products(model, padded[:, :, None] ** np.arange(model.N + 1)))
         model._memo["monomials"] = hit
     return hit[1]
 
@@ -308,27 +290,27 @@ def s_transform_many(Phi, xis: np.ndarray) -> np.ndarray:
     """S Phi at each sample row: (S,) for one vector, (V, S) for a sequence of V
     vectors over one model.
 
-    The monomial matrix is walked in row blocks of about ``_BLOCK_BYTES``, and
-    each block is multiplied by every vector with its own GEMV while it stays
-    in cache.  A block of two or more rows gives the bits of the whole-matrix
-    GEMV; a one-row block goes to ``dot`` and does not, so a one-row remainder
-    joins the block before it (a one-row sample is one block).  A GEMM over
-    all vectors at once would be faster but changes the bits.  Each vector is
-    weighted on its own, so a batch is never stacked here.
+    The vectors go in chunks of ``_TILE``: each is copied, times its
+    multiplicities, into one zero-padded (``_TILE``, K) array, and one stacked
+    complex GEMM against the tiles of the cached monomial matrix gives the
+    chunk's transforms.  Both operands of every GEMM are whole tiles, so a
+    value's bits depend only on its vector and its probe: not on the batch,
+    the sample around them or the BLAS thread count.
     """
     single = isinstance(Phi, ChaosVector)
     vecs = [Phi] if single else list(Phi)
     model = vecs[0].model
-    V = _monomials(model, xis)
-    X = [model.mult * v.coeffs for v in vecs]
-    S = len(V)
-    step = max(2, _BLOCK_BYTES // (V.shape[1] * V.itemsize))
-    bounds = [*range(0, max(S - 1, 1), step), S]
-    out = np.empty((len(X), S), dtype=complex)
-    for lo, hi in zip(bounds, bounds[1:]):
-        block = V[lo:hi]
-        for row, x in zip(out, X):
-            row[lo:hi] = block @ x
+    xis = _probes(xis)
+    # (tiles, K, _TILE) views of the (S', K) monomial matrix
+    tiles = _monomials(model, xis).reshape(-1, _TILE, model.n_coeffs).transpose(0, 2, 1)
+    X = np.empty((_TILE, model.n_coeffs), dtype=complex)
+    out = np.empty((len(vecs), len(xis)), dtype=complex)
+    for lo in range(0, len(vecs), _TILE):
+        chunk = vecs[lo:lo + _TILE]
+        for row, v in zip(X, chunk):
+            np.multiply(model.mult, v.coeffs, out=row)
+        X[len(chunk):] = 0.0
+        out[lo:lo + len(chunk)] = np.hstack(X @ tiles)[:len(chunk), :len(xis)]
     return out[0] if single else out
 
 
@@ -406,7 +388,8 @@ def _check_bound(vecs, u: WeightFunction, a: float, p: float, q: float,
     ``vecs`` is one vector, which gets one report, or an iterable of vectors over
     one model and role, which gets a list.  The premise, u*, the probe weights and
     the ell weights are worked out once; the vectors are then read in chunks of
-    at most ``_BLOCK_BYTES`` of coefficients, so a generator is never held whole.
+    ``_TILE``, one ``s_transform_many`` GEMM each, so a generator is never held
+    whole.  Each norm sums its own vector, so no report depends on its batch.
     """
     role, name = ((ROLE_DISTRIBUTION, "check_dist_bound") if dual
                   else (ROLE_TEST, "check_test_bound"))
@@ -437,14 +420,12 @@ def _check_bound(vecs, u: WeightFunction, a: float, p: float, q: float,
     norms2 = (np.abs(xis) ** 2) @ (model.eigenvalues ** (2.0 * level))
     probe_weights = np.exp(-0.5 * w.log_eval(a * norms2))
     ell_weights = _norm_weights(model, log_ell_sequence(w, model.N), order)
-    step = max(1, _BLOCK_BYTES // first.coeffs.nbytes)
     it = itertools.chain([first], it)
     reports = []
-    while chunk := list(map(admit, itertools.islice(it, step))):
+    while chunk := list(map(admit, itertools.islice(it, _TILE))):
         Ks = np.max(np.abs(s_transform_many(chunk, xis)) * probe_weights, axis=-1)
-        norms = _weighted_norms(ell_weights, np.array([v.coeffs for v in chunk]))
-        for K, norm in zip(Ks.tolist(), norms.tolist()):
-            lhs = norm**2
+        for K, vec in zip(Ks.tolist(), chunk):
+            lhs = _weighted_norm(ell_weights, vec.coeffs) ** 2
             rhs = K**2 / (1.0 - contraction)
             verdict = CONSISTENT if lhs <= rhs * (1.0 + _BOUND_TOL) else VIOLATED
             reports.append(BoundCheckReport(verdict=verdict, fitted_K=K, a=a, p=p, q=q,

@@ -253,7 +253,10 @@ def sample(model: MeasureModel, n: int, rng=None) -> np.ndarray:
     if model.lam == 1.0:
         return math.sqrt(2.0) * z
     S = _stable_one_sided(model.lam, n, rng)
-    return math.sqrt(2.0) * S[:, None] ** (-model.lam / 2.0) * z
+    # at a tiny lam S underflows to 0 and its power is inf: validate_sampler
+    # refuses such draws with one message, so numpy does not warn as well
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return math.sqrt(2.0) * S[:, None] ** (-model.lam / 2.0) * z
 
 
 def _probes(model: MeasureModel) -> np.ndarray:
@@ -266,7 +269,8 @@ def _ecf_sums(x: np.ndarray, probes: np.ndarray) -> tuple[int, np.ndarray]:
     """The number of rows of x that are not finite and, when there is none, the
     sums of cos w, cos^2 w, sin w and sin^2 w over w = x @ probes.T, one
     column per probe (zeros otherwise: the gate refuses those draws anyway)."""
-    w = x @ probes.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = x @ probes.T
     # a draw with a NaN or inf entry projects to a non-finite w; its NaN
     # z-score would drop out of the max and pass the gate silently
     bad = int(np.count_nonzero(~np.isfinite(w).all(axis=1)))

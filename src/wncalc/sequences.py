@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .legendre import log_ell_sequence, log_factorial, seq_equivalent, EquivalenceReport
@@ -54,6 +53,8 @@ def bell_numbers(k: int, n_max: int) -> WeightSequence:
         raise ValueError("k must be >= 1")
     if not 0 <= n_max <= MAX_BELL_N:
         raise ValueError(f"n_max must be in [0, {MAX_BELL_N}]")
+    import mpmath as mp  # only Bell numbers need it, so importing wncalc does not
+
     if k <= 2:
         # T_1 - 1 has coefficients 1/n!; T_2 = exp(T_1 - 1)
         t = [Fraction(1, math.factorial(n)) for n in range(n_max + 1)]

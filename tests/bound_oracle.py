@@ -1,10 +1,12 @@
-"""Frozen per-vector bound checks: the batched ``wncalc.chaos`` suite must match bit for bit.
+"""Per-vector bound checks, the reference for the batched ``wncalc.chaos`` suite.
 
-``_fit_K``, ``_check_bound``, ``weighted_norm`` and ``s_transform_many`` are
-kept verbatim from before a bound check took a batch of vectors: each vector
-repeated the probe-weight ``log_eval``, the ell-weight ``exp`` and one GEMV over
-the whole monomial matrix.  ``model_arrays`` is the per-multi-index loop that
-built ``FiniteGaussianModel`` before its build was vectorized.
+``_fit_K``, ``_check_bound`` and ``weighted_norm`` are kept from before a
+bound check took a batch of vectors: each vector repeats the probe-weight
+``log_eval``, the ell-weight ``exp`` and one GEMV over the whole monomial
+matrix.  ``s_transform_many`` builds that matrix with the broadcast power
+array of ``mode_products_oracle``, not with ``wncalc``.  ``model_arrays`` is
+the per-multi-index loop that built ``FiniteGaussianModel`` before its build
+was vectorized.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import math
 
 import numpy as np
 
+from mode_products_oracle import monomials
 from wncalc.chaos import (
     BoundCheckReport,
     ChaosVector,
     PremiseError,
     _BOUND_TOL,
-    _monomials,
     hs_norm_inclusion,
 )
 from wncalc.legendre import dual_of, log_ell_sequence, log_factorial
@@ -48,9 +50,16 @@ def weighted_norm(phi: ChaosVector, log_ell: np.ndarray, p: float) -> float:
     return math.sqrt(float(np.sum(np.exp(w) * np.abs(phi.coeffs) ** 2)))
 
 
+# the monomial matrix of the last (model, sample): the broadcast build is slow
+_last_monomials = {}
+
+
 def s_transform_many(Phi: ChaosVector, xis: np.ndarray) -> np.ndarray:
-    V = _monomials(Phi.model, xis)
-    return V @ (Phi.model.mult * Phi.coeffs)
+    key = (Phi.model, xis.shape, xis.tobytes())
+    if key not in _last_monomials:
+        _last_monomials.clear()
+        _last_monomials[key] = monomials(Phi.model, xis)
+    return _last_monomials[key] @ (Phi.model.mult * Phi.coeffs)
 
 
 def _fit_K(vec: ChaosVector, w: WeightFunction, a: float, level: float,

@@ -331,6 +331,19 @@ class TestExitCodes:
         assert re.fullmatch(r"error: grey sampler: worst deviation \d+\.\d\d sigma > 4\.61\n",
                             res.stderr)
 
+    def test_a_grey_sampler_with_infinite_draws_exits_one_with_one_line(self):
+        # a subprocess, so that numpy warnings would reach the stderr we read; at
+        # lambda = 1e-9 the stable draws underflow to 0 and their power is inf
+        res = subprocess.run(
+            [sys.executable, "-m", "wncalc.cli", "integrability", "--model", "grey",
+             "--lambda", "1e-9", "--samples", "1000"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert re.fullmatch(r"error: grey sampler: \d+ of 1000 draws are not finite\n",
+                            res.stderr)
+
     def test_grey_lambda_near_one_converges_without_warnings(self):
         # the Kanter draws of the rows whose direct formula under- or
         # overflows are redone in log space, so none is rejected
@@ -361,6 +374,36 @@ def test_cli_import_needs_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_mpmath(capsys):
+    # only Bell numbers and the infinite HS series import it, on first use
+    bell = ["bell", "--order", "3", "--count", "4"]
+    code = ("import sys, wncalc.cli; print('mpmath' in sys.modules, flush=True); "
+            f"from wncalc import chaos, cli; cli.run({bell!r}); "
+            "print(repr(chaos.hs_norm_inclusion(3, 0)))")
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    code, out = run_cli(bell, capsys)
+    assert code == 0
+    # not loaded at import; then the Bell numbers and 2^-3 zeta(3)
+    assert res.stdout.splitlines() == ["False", *out.splitlines(),
+                                       repr(2**-3 * 1.2020569031595942)]
+
+
+def test_reports_are_identical_at_one_and_two_blas_threads():
+    # the S-transform GEMMs give the same bits however BLAS splits them
+    def report(argv, threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+        res = subprocess.run([sys.executable, "-m", "wncalc.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        return res.stdout
+
+    for argv in (["chaos-bounds", "--dim", "6", "--degree", "10", "--vectors", "40"],
+                 ["verify-all", "--seed", "7"]):
+        assert report(argv, 1) == report(argv, 2), argv
 
 
 def test_an_array_is_not_written_as_its_string():
@@ -438,7 +481,7 @@ class TestRuntimeWithoutScipy:
     ]
     # argvs whose report bytes repeat in another process
     REPEATED = [
-        # 13 vectors go in chunks of 8 and 5
+        # 13 vectors fill one chunk of 16 and 12 probes one tile, each zero-padded
         ["chaos-bounds", "--dim", "6", "--degree", "10", "--vectors", "13",
          "--sample-per-scale", "3", "--seed", "2"],
         # nine modes: the monomials go over eight levels of shared mode prefixes
