@@ -10,10 +10,9 @@ refinement of several brackets, since (log, x^2)-convexity of u does not
 guarantee convexity of the objective in y.  A batch evaluates ``log u`` once
 on the 65 points of ``optimize.scan_grid`` and builds its whole scan matrix,
 one row per argument, from those values; each lockstep step of the refinement
-is then one array call of ``log u``.  The arithmetic is the scalar expressions'
-in numpy and exp is ``math.exp`` mapped per element, so every value is bit
-for bit what one solve per argument gives.  ``certify`` checks such values by
-a brute-force minimum of the same rows on a dense grid (Lucet, 1997).
+is then one array call of ``log u``, and every value is what one solve per
+argument gives.  ``certify`` checks such values by a brute-force minimum of
+the same rows on a dense grid (Lucet, 1997).
 
 ``dual_weight`` builds u* when it is called: one ``dual_function`` batch on
 32 knots per decade of r in [1e-8, 1e8], clipped to be nondecreasing, and a
@@ -24,9 +23,8 @@ tractable.  Slopes outside the Fritsch-Carlson region (SIAM J. Numer. Anal.
 17, 1980) are scaled into it, so the interpolant is monotone between the
 knots; below the first knot with log u* > 0, u* is linear in r.  The returned
 WeightFunction holds only the knots, the cubic coefficients and the points of
-that linear part, never u.  The u* kernel takes log r and exp per element
-through libm and finds each interval by ``searchsorted``, so no Python frame
-runs per radius.
+that linear part, never u.  The u* kernel finds each interval by
+``searchsorted``, so no Python frame runs per radius.
 
 ``dual_of(u)`` is the one u* of a weight object: ``dual_weight(u)``, kept on
 u once built, so the dual-sequence check and the distribution-side chaos
@@ -50,7 +48,6 @@ from .weights import (
     VIOLATED,
     PrecisionError,
     WeightFunction,
-    libm_map,
     tail_size,
 )
 
@@ -97,13 +94,13 @@ def _safe_log_eval(u: WeightFunction, r: np.ndarray) -> np.ndarray:
 
 
 def _log_u(u: WeightFunction, y: np.ndarray) -> np.ndarray:
-    """log u(e^y), with e^y through libm (np.exp differs)."""
-    return _safe_log_eval(u, libm_map(math.exp, y))
+    """log u(e^y)."""
+    return _safe_log_eval(u, np.exp(y))
 
 
 def _objective(p: np.ndarray, y: np.ndarray, logs: np.ndarray, dual: bool) -> np.ndarray:
     """The minimized objective of argument p at y, from logs = log u(e^y), broadcast."""
-    return -(2.0 * np.sqrt(p) * libm_map(math.exp, 0.5 * y) - logs) if dual else logs - p * y
+    return -(2.0 * np.sqrt(p) * np.exp(0.5 * y) - logs) if dual else logs - p * y
 
 
 def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
@@ -131,7 +128,7 @@ def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
             " the maximizer lies beyond the search limit r_max,"
             " or u fails the C_+,1/2 growth condition"
         ) if dual else f"inf of {u.name}(r)/r^{a} still decreasing at r_max={u.r_max}")
-    out = (-res.value if dual else res.value, libm_map(math.exp, res.x), res.status)
+    out = (-res.value if dual else res.value, np.exp(res.x), res.status)
     return TransformResult(*(out if np.ndim(args) else (col[0].item() for col in out)))
 
 
@@ -154,12 +151,12 @@ def _dual_log_eval(knots: np.ndarray, coeffs: np.ndarray, below: np.ndarray,
     """log u*(r): exp of the cubic in s = log r - x_i on the knot interval [x_i, x_{i+1}]
     holding log r, and below the first knot linear in r between the points of the
     rows below = (r, log u*), which run from r = 0 to the first knot's radius."""
-    x = libm_map(math.log, r)
+    x = np.log(r)
     # the interval [x_i, x_{i+1}) holding log r; r_max, the last knot, closes the last one
     i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
     s = np.maximum(x - knots[i], 0.0)  # 0 below the grid, where the cubic is not used
     c0, c1, c2, c3 = coeffs[:, i]
-    out = libm_map(math.exp, c3 + s * (c2 + s * (c1 + s * c0)))
+    out = np.exp(c3 + s * (c2 + s * (c1 + s * c0)))
     lo = x < knots[0]
     if lo.any():
         rp, vp = below
@@ -183,7 +180,7 @@ def dual_weight(u: WeightFunction) -> WeightFunction:
     """
     n = int(round(DUAL_PER_DECADE * math.log10(DUAL_R_MAX / DUAL_R_LO))) + 1
     x = np.linspace(math.log(DUAL_R_LO), math.log(DUAL_R_MAX), n)
-    rs = libm_map(math.exp, x)
+    rs = np.exp(x)
     res = dual_function(u, rs)
     finite = np.isfinite(res.log_value) & np.isfinite(res.arg_r)
     if not finite.all():
@@ -198,7 +195,7 @@ def dual_weight(u: WeightFunction) -> WeightFunction:
     if not vals[-2] > 0:
         raise ValueError(f"log u* of {u.name} is > 0 at fewer than two knots in"
                          f" [{float(rs[0])}, {float(rs[-1])}]")
-    g = libm_map(math.log, vals[first:])
+    g = np.log(vals[first:])
     d = np.sqrt(rs[first:] * res.arg_r[first:]) / vals[first:]
     h = np.diff(x[first:])
     m = np.diff(g) / h
@@ -212,7 +209,8 @@ def dual_weight(u: WeightFunction) -> WeightFunction:
     d0, d1 = d[:-1], d[1:]
     t = (d0 + d1 - 2.0 * m) / h
     coeffs = np.stack((t / h, (m - d0) / h - t, d0, g[:-1]))
-    below = np.array([[0.0, *rs[:first + 1]], [log_at_zero, *vals[:first], math.exp(g[0])]])
+    # the linear part ends at the cubic's value at its first knot, exp(g[0]), bit for bit
+    below = np.array([[0.0, *rs[:first + 1]], [log_at_zero, *vals[:first], *np.exp(g[:1])]])
     return WeightFunction(
         name=f"dual({u.name})",
         _log_eval=functools.partial(_dual_log_eval, x[first:], coeffs, below),

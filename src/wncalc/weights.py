@@ -9,12 +9,8 @@ double raises :class:`PrecisionError`.
 Each weight holds one kernel: a function from a float64 1-D array of radii
 in (0, r_max] to the array of their ``log u``.  ``log_eval`` takes a number
 or a 1-D array, settles r = 0, the round-off band past r_max and the domain
-rule with array masks, and calls the kernel once.  libm functions
-(exp, log, pow) are applied per element through C-level maps
-(:func:`libm_map`), because numpy's own exp and power differ from libm in
-the last bit; numpy does only the IEEE operations (+, -, *, /, sqrt,
-comparisons) and the table lookups.  So a value is bit for bit the scalar
-expression's, and no Python frame runs per radius.  :func:`from_callable`
+rule with array masks, and calls the kernel once.  The catalog kernels are
+numpy expressions, so no Python frame runs per radius; :func:`from_callable`
 lifts a scalar log evaluator into such a kernel.
 
 Class-membership checks (divergence of ``log u(r)/log r``,
@@ -57,7 +53,7 @@ class PrecisionError(ArithmeticError):
 
 def libm_map(fn: Callable[..., float], x: np.ndarray, *consts: float) -> np.ndarray:
     """fn(element, *consts) at each element of the 1-D array x as a Python float,
-    through a C-level map: libm's bits, which numpy's exp and power do not always give."""
+    through a C-level map: the array form of a function written for Python scalars."""
     return np.fromiter(map(fn, x.tolist(), *map(repeat, consts)), float, len(x))
 
 
@@ -140,7 +136,7 @@ def power_exp(beta: float, r_max: float = 1e30) -> WeightFunction:
     expo = 1.0 / (1.0 + beta)
 
     def f(r: np.ndarray) -> np.ndarray:
-        return (1.0 + beta) * libm_map(pow, r, expo)
+        return (1.0 + beta) * np.power(r, expo)
 
     return WeightFunction(
         name=f"power_exp(beta={beta})", _log_eval=f, r_max=r_max,
@@ -166,7 +162,7 @@ def bell_weight(k: int, r_max: float | None = None) -> WeightFunction:
         for _ in range(k - 1):
             if not (x <= _LEVEL_DOWN_CAP).all():  # _descend raises at the first such r
                 return libm_map(functools.partial(_descend, k - 1), r) - base
-            x = libm_map(math.exp, x)
+            x = np.exp(x)
         return x - base
 
     return WeightFunction(
@@ -182,7 +178,7 @@ def sqrt_log_weight(k: int = 2, r_max: float = 1e30) -> WeightFunction:
     def f(r: np.ndarray) -> np.ndarray:
         x = np.sqrt(r)
         for _ in range(k - 1):  # log_k(k - 1, .); fmax, like max, reads NaN as the smaller
-            x = libm_map(math.log, np.fmax(math.e, x))
+            x = np.log(np.fmax(math.e, x))
         return 2.0 * np.sqrt(r * x)
 
     return WeightFunction(
@@ -231,7 +227,7 @@ def custom_table(points: Sequence[tuple[float, float]], name: str = "custom_tabl
         raise ValueError(f"table log u(0)={u0!r} puts u(0) past a double") from None
 
     def f(r: np.ndarray) -> np.ndarray:
-        out = np.interp(libm_map(math.log, r), logr, vals)
+        out = np.interp(np.log(r), logr, vals)
         below = r < r_lo
         out[below] = u0 + (vals[0] - u0) * (r[below] / r_lo)
         return out

@@ -1,7 +1,9 @@
-"""Frozen scalar kernels: each array kernel of ``wncalc`` must match one bit for bit.
+"""Frozen scalar kernels: each array kernel of ``wncalc`` must match one within a stated bound.
 
 These are the per-radius ``log u`` evaluators ``wncalc.weights`` had before
-every kernel took an array, kept verbatim: the ``power_exp`` closure, the
+every kernel took an array, kept verbatim, with libm's exp, log and pow; the
+array kernels take numpy's, and ``test_weights`` states how far 1 ulp per
+call may move each kernel.  They are the ``power_exp`` closure, the
 ``_descend``-based Bell kernel, ``sqrt_log`` through ``log_k`` and
 ``custom_table``'s scalar ``np.interp``.  ``Hermite`` is the u* evaluator of
 ``wncalc.legendre`` written one radius at a time, with ``bisect`` for the
@@ -12,7 +14,8 @@ in (0, r_max] and returns a Python float.
 ``char_fn`` and ``poisson_char`` are the characteristic functionals of
 ``wncalc.measures`` at one argument xi, as they were before they took a
 (k, d) array, with the grey model's per-model memo of L_lam(t) dropped:
-it kept values, never changed one.  The grey one makes one scalar
+it kept values, never changed one.  The Gaussian one takes ``math.exp``, so an
+array ``char_fn`` lies within 1 ulp of it.  The grey one makes one scalar
 ``measures.mittag_leffler`` call per argument, so a grey array ``char_fn``
 must give the bits of those calls; the values themselves are checked against
 40-digit references in ``test_mittag_leffler_oracle``.

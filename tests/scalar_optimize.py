@@ -1,4 +1,4 @@
-"""Frozen scalar solver: the reference the batch solver must match bit for bit.
+"""Frozen scalar solver: the lockstep order the batch solver must reproduce bit for bit.
 
 ``golden_section`` and ``minimize_scalar`` are the one-objective-at-a-time
 optimizer that ``wncalc.optimize`` had before its batch minimizer, kept
@@ -9,11 +9,13 @@ called it, one solve per argument, each scanning its own objective; a loop
 over them is the element-by-element path whose results and first error a
 batch has to reproduce, and whose evaluation counts, less the ``COARSE``
 scan evaluations of each solve, its refinement has to reproduce.  Nothing
-here reads a scan that ``wncalc.legendre`` computed.  ``log u`` of a
-``power_exp`` or Bell weight comes from the frozen kernels of
-``scalar_kernels``, a Python call per radius rather than a one-element array
-through ``WeightFunction.log_eval``; other weights go through
-``legendre._safe_log_eval`` one radius at a time, as a one-element array.
+here reads a scan that ``wncalc.legendre`` computed.  The arithmetic is the
+batch's, one number at a time: ``log u`` goes through
+``legendre._safe_log_eval`` one radius at a time, as a one-element array,
+and exp through ``np.exp`` of a one-element array, whose element has the
+bits it has in any array.  So what a mismatch shows is a solve that took
+other steps; whether a kernel agrees with libm is checked once, against the
+frozen kernels of ``scalar_kernels``, in ``test_weights``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import scalar_kernels
 from wncalc import legendre
 from wncalc.optimize import (
     COARSE,
@@ -117,24 +118,15 @@ def minimize_scalar(f, lo: float, hi: float, scan_values=None) -> ScalarMinResul
     return ScalarMinResult(x=best_x, value=best_v, status=status, evaluations=evals)
 
 
+def _exp(y: float) -> float:
+    """e^y as the batch computes it: np.exp of a one-element array."""
+    return np.exp(np.array([y])).item()
+
+
 def _scalar_log_u(u):
-    """log u at one radius in (0, r_max (1 + 1e-9)]: the frozen kernel of the family
-    where there is one, with log_eval's clamp to r_max and an overflow read as +inf."""
-    family = u.name.split("(")[0]
-    if family == "power_exp":
-        kernel = scalar_kernels.power_exp(u.params["beta"])
-    elif family == "bell":
-        kernel = scalar_kernels.bell(u.params["k"])
-    else:
-        return lambda r: legendre._safe_log_eval(u, np.array([r])).item()
-
-    def log_u(r: float) -> float:
-        try:
-            return kernel(min(r, u.r_max))
-        except (OverflowError, scalar_kernels.PrecisionError):
-            return math.inf
-
-    return log_u
+    """log u at one radius, as a one-element array through ``legendre._safe_log_eval``:
+    log_eval's clamp to r_max, and an overflow read as +inf."""
+    return lambda r: legendre._safe_log_eval(u, np.array([r])).item()
 
 
 def legendre_transform(u, t: float):
@@ -145,14 +137,14 @@ def legendre_transform(u, t: float):
     log_u = _scalar_log_u(u)
 
     def g(y: float) -> float:
-        return log_u(math.exp(y)) - t * y
+        return log_u(_exp(y)) - t * y
 
     res = minimize_scalar(g, legendre._Y_LO, y_hi)
     if res.status == STATUS_UPPER_BOUNDARY and t > 0:
         raise legendre.UnboundedError(
             f"inf of {u.name}(r)/r^{t} still decreasing at r_max={u.r_max}"
         )
-    out = legendre.TransformResult(log_value=res.value, arg_r=math.exp(res.x), status=res.status)
+    out = legendre.TransformResult(log_value=res.value, arg_r=_exp(res.x), status=res.status)
     return out, res.evaluations
 
 
@@ -165,7 +157,7 @@ def dual_function(u, r: float):
     log_u = _scalar_log_u(u)
 
     def h(y: float) -> float:
-        return -(2.0 * sqrt_r * math.exp(0.5 * y) - log_u(math.exp(y)))
+        return -(2.0 * sqrt_r * _exp(0.5 * y) - log_u(_exp(y)))
 
     res = minimize_scalar(h, legendre._Y_LO, y_hi)
     if res.status == STATUS_UPPER_BOUNDARY and r > 0:
@@ -174,5 +166,5 @@ def dual_function(u, r: float):
             " the maximizer lies beyond the search limit r_max,"
             " or u fails the C_+,1/2 growth condition"
         )
-    out = legendre.TransformResult(log_value=-res.value, arg_r=math.exp(res.x), status=res.status)
+    out = legendre.TransformResult(log_value=-res.value, arg_r=_exp(res.x), status=res.status)
     return out, res.evaluations

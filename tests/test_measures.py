@@ -173,14 +173,19 @@ class TestCharacteristicFunctionals:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d", [1, 2, 6, 8, 9, 20])  # d >= 8: numpy's unrolled pairwise sum
-    def test_char_fn_matches_the_scalar_kernel_bit_for_bit(self, kind, d):
+    def test_char_fn_matches_the_scalar_kernel(self, kind, d):
+        # bit for bit, but for the Gaussian one's exp(-t/2): np.exp against math.exp,
+        # within 1 ulp (eps relative), the same t on both sides
         model = MeasureModel(kind=kind, d=d, lam=0.6, intensity=1.7)
         xi = np.random.default_rng(d).standard_normal((12, d)) / math.sqrt(d)
         xi[3], xi[5], xi[7] = 0.0, -xi[2], xi[1]  # t = 0 and repeated values of t
         got = model.char_fn(xi)
         want = np.array([scalar_kernels.char_fn(model, row) for row in xi])
         assert got.dtype == want.dtype and got.shape == (12,)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        if kind == measures.KIND_GAUSSIAN:
+            assert (np.abs(got - want) <= np.finfo(float).eps * np.abs(want)).all()
+        else:
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_gram_report_equals_the_per_entry_gram(self, kind):
