@@ -23,8 +23,8 @@ tractable.  Slopes outside the Fritsch-Carlson region (SIAM J. Numer. Anal.
 17, 1980) are scaled into it, so the interpolant is monotone between the
 knots; below the first knot with log u* > 0, u* is linear in r.  The returned
 WeightFunction holds only the knots, the cubic coefficients and the points of
-that linear part, never u.  The u* kernel finds each interval by
-``searchsorted``, so no Python frame runs per radius.
+that linear part, never u.  The u* kernel finds each interval by one
+``searchsorted`` on the inner knots, so no Python frame runs per radius.
 
 ``dual_of(u)`` is the one u* of a weight object: ``dual_weight(u)``, kept on
 u once built, so the dual-sequence check and the distribution-side chaos
@@ -98,9 +98,9 @@ def _log_u(u: WeightFunction, y: np.ndarray) -> np.ndarray:
     return _safe_log_eval(u, np.exp(y))
 
 
-def _objective(p: np.ndarray, y: np.ndarray, logs: np.ndarray, dual: bool) -> np.ndarray:
-    """The minimized objective of argument p at y, from logs = log u(e^y), broadcast."""
-    return -(2.0 * np.sqrt(p) * np.exp(0.5 * y) - logs) if dual else logs - p * y
+def _objective(coef: np.ndarray, y: np.ndarray, logs: np.ndarray, dual: bool) -> np.ndarray:
+    """The objective at y from logs = log u(e^y), broadcast; coef is t, or 2 sqrt(r) if dual."""
+    return -(coef * np.exp(0.5 * y) - logs) if dual else logs - coef * y
 
 
 def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
@@ -112,9 +112,10 @@ def _conjugate(u: WeightFunction, args, dual: bool) -> TransformResult:
         raise ValueError(f"{'r' if dual else 't'} must be >= 0")
     y_hi = math.log(u.r_max)
     ys = optimize.scan_grid(_Y_LO, y_hi)
+    coef = 2.0 * np.sqrt(ps) if dual else ps
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, as in Python floats
-        scan = _objective(ps[:, None], ys, _log_u(u, ys), dual)
-        res = optimize.minimize_scalar(lambda ks, y: _objective(ps[ks], y, _log_u(u, y), dual),
+        scan = _objective(coef[:, None], ys, _log_u(u, ys), dual)
+        res = optimize.minimize_scalar(lambda ks, y: _objective(coef[ks], y, _log_u(u, y), dual),
                                        _Y_LO, y_hi, scan)
     no_finite = res.status == optimize.STATUS_NO_FINITE
     failed = no_finite | ((res.status == optimize.STATUS_UPPER_BOUNDARY) & (ps > 0))
@@ -152,16 +153,17 @@ def _dual_log_eval(knots: np.ndarray, coeffs: np.ndarray, below: np.ndarray,
     holding log r, and below the first knot linear in r between the points of the
     rows below = (r, log u*), which run from r = 0 to the first knot's radius."""
     x = np.log(r)
-    # the interval [x_i, x_{i+1}) holding log r; r_max, the last knot, closes the last one
-    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+    # the interval [x_i, x_{i+1}) holding log r, counted on the inner knots: below the
+    # grid that is the first interval, and r_max, the last knot, closes the last one
+    i = np.searchsorted(knots[1:-1], x, side="right")
     s = np.maximum(x - knots[i], 0.0)  # 0 below the grid, where the cubic is not used
     c0, c1, c2, c3 = coeffs[:, i]
     out = np.exp(c3 + s * (c2 + s * (c1 + s * c0)))
-    lo = x < knots[0]
-    if lo.any():
+    if x.size and x.min() < knots[0]:
+        lo = x < knots[0]
         rp, vp = below
         r_lo = r[lo]
-        j = np.clip(np.searchsorted(rp, r_lo, side="right") - 1, 0, len(rp) - 2)
+        j = np.searchsorted(rp[1:-1], r_lo, side="right")
         out[lo] = vp[j] + (vp[j + 1] - vp[j]) * ((r_lo - rp[j]) / (rp[j + 1] - rp[j]))
     return out
 
@@ -248,9 +250,10 @@ def certify(u: WeightFunction, args, values, dual: bool = False) -> np.ndarray:
     it catches a missed optimum, not an error below the grid's resolution."""
     ys = np.linspace(_Y_LO, math.log(u.r_max), CERT_POINTS)
     ps, logs = np.array(args, dtype=float, ndmin=1), _log_u(u, ys)
+    coef = 2.0 * np.sqrt(ps) if dual else ps
     lows = np.empty(len(ps))
     for k in range(0, len(ps), _BLOCK):
-        lows[k:k + _BLOCK] = _objective(ps[k:k + _BLOCK, None], ys, logs, dual).min(axis=1)
+        lows[k:k + _BLOCK] = _objective(coef[k:k + _BLOCK, None], ys, logs, dual).min(axis=1)
     best = np.array(values, dtype=float, ndmin=1) * (-1.0 if dual else 1.0)
     return lows >= best - CERT_TOL * (1.0 + np.abs(best))
 

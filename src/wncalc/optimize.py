@@ -10,7 +10,8 @@ Every bracket of a batch is refined in lockstep in numpy arrays, with the
 float operations of a one-bracket golden-section search (Kiefer, Proc. AMS
 4, 1953) in the same order, so each bracket ends on the bits that search
 reaches; a bracket leaves the live set when its own width test passes.  The
-objective is called once per step on the points of all live brackets.
+objective is called once per step on the points of all live brackets, and the
+width tests run only below a width floor that no test can pass above.
 """
 
 from __future__ import annotations
@@ -43,23 +44,31 @@ class BatchMinResult:
 def _golden_sections(f, ks: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Golden-section search of objective ks[j] on [a[j], b[j]] for every
     bracket j in lockstep: (x, value at x, evaluation count)."""
-    step = _INV_GOLDEN * (b - a)
+    if not len(ks):
+        return np.empty(0), np.empty(0), 0
+    # every bracket stays inside its first [a, b]: no width test passes above this
+    floor = 2.0 * TOL * (1.0 + 2.0 * max(np.abs(a).max(), np.abs(b).max()))
+    width = b - a
+    step = _INV_GOLDEN * width
     c, d = b - step, a + step
     fc, fd = f(ks, c), f(ks, d)
     x, evals = np.empty(len(ks)), 3 * len(ks)  # the two first points and the last
     live, k = np.arange(len(ks)), ks  # the brackets not yet narrow enough, and their objectives
     for _ in range(MAX_ITER):
-        done = b - a <= TOL * (1.0 + np.abs(a) + np.abs(b))
-        if done.any():
-            x[live[done]] = 0.5 * (a[done] + b[done])
-            keep = ~done
-            live, k, a, b, c, d, fc, fd = (v[keep] for v in (live, k, a, b, c, d, fc, fd))
+        if width.min() <= floor:
+            done = width <= TOL * (1.0 + np.abs(a) + np.abs(b))
+            if done.any():
+                x[live[done]] = 0.5 * (a[done] + b[done])
+                keep = ~done
+                live, k, a, b, c, d, fc, fd, width = (
+                    v[keep] for v in (live, k, a, b, c, d, fc, fd, width))
         if not live.size:
             break
         # fc < fd keeps [a, d], else [c, b]; a NaN comparison is False, as in Python
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
-        step = _INV_GOLDEN * (b - a)
+        width = b - a
+        step = _INV_GOLDEN * width
         p = np.where(left, b - step, a + step)
         fp = f(k, p)
         evals += live.size

@@ -113,7 +113,7 @@ class WeightFunction:
         if not scalar and r.ndim != 1:
             raise ValueError(f"{self.name}: log_eval takes a 1-D array, got {r.ndim}-D")
         x = np.array([float(r)]) if scalar else r.astype(float, copy=False)
-        if ((0.0 < x) & (x <= self.r_max)).all():  # the in-range case takes one test
+        if not x.size or (x.min() > 0.0 and x.max() <= self.r_max):  # NaN fails both
             out = self._log_eval(x)
         else:
             bad = ~(x >= 0) | (x > self.r_max * (1.0 + 1e-9))  # NaN fails x >= 0

@@ -137,3 +137,31 @@ class Table:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
 def test_no_module_memos(path):
     assert memo_decorators(path.read_text()) == []
+
+
+def clip_calls(source: str) -> list[int]:
+    """Lines that call ``clip``: ``np.clip``, an array's ``.clip`` or a bare imported name."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call) and "clip" in (
+                       getattr(node.func, "attr", None), getattr(node.func, "id", None))})
+
+
+def test_clip_call_detected():
+    source = """
+import numpy as np
+from numpy import clip
+
+def lookup(knots, x):
+    i = np.clip(np.searchsorted(knots, x) - 1, 0, len(knots) - 2)
+    return i.clip(0, 3), clip(i, 0, 3), np.minimum(i, 3), np.searchsorted(knots[1:-1], x)
+"""
+    assert clip_calls(source) == [6, 7]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_no_clip_calls(path):
+    # np.clip and ndarray.clip run numpy's Python-level _clip: about 8 us a call on a
+    # 31-element array, where np.minimum or np.maximum take about 1 us.  On the u*
+    # kernel, which the conjugate solver calls once per lockstep step, it was 8.3 of
+    # 29 us.  Bound an index by searching the inner points instead; tests may clip
+    assert clip_calls(path.read_text()) == [], "np.clip costs ~8 us of Python-level _clip"

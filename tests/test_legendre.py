@@ -160,6 +160,23 @@ class TestDualWeightOracle:
         assert np.abs(got - want).max() <= 7e-9
 
 
+class TestDualityIdentity:
+    """ell_u(n) ell_{u*}(n) = (e/n)^(2n) for n >= 1, and 1 at n = 0, for every u whose
+    log u(x^2) is convex: weak duality gives >= and Sion's minimax theorem (Pacific J.
+    Math. 8, 1958) equality.  So the sum of the two solved log sequences has a closed
+    form for every catalog weight, bell(2) included, which no other test has for ell_{u*}."""
+
+    # measured worst |residual|: 2.9e-9, 6.9e-9, 3.4e-9, 6.9e-9 and 5.7e-9; the bound is
+    # the 1e-8 of ell_u in TestLegendreTransform plus the 7e-9 of ell_{u*} above
+    @pytest.mark.parametrize("name", ["power_exp(0)", "power_exp(0.3)", "power_exp(0.5)",
+                                      "power_exp(0.55)", "bell(2)"])
+    def test_ell_times_ell_of_u_star_is_the_closed_form(self, name):
+        u = HERMITE_WEIGHTS[name]()
+        got = legendre.log_ell_sequence(u, 30) + legendre.log_ell_sequence(dual_of(u), 30)
+        want = [0.0] + [2.0 * n * (1.0 - math.log(n)) for n in range(1, 31)]
+        assert np.abs(got - want).max() <= 1.7e-8
+
+
 HERMITE_WEIGHTS = {
     "power_exp(0)": lambda: power_exp(0.0),
     "power_exp(0.3)": lambda: power_exp(0.3),
@@ -572,6 +589,47 @@ class TestBatchSolver:
         assert optimize.STATUS_NO_FINITE in statuses
         assert got.evaluations == len(points) == len(batch_points)
         assert sorted(batch_points) == sorted(points)
+
+    # one ulp wide, the grid holds 1.0 up to point 32 and the next float from point 33,
+    # so a bracket at any other point has no width and the golden-section batch is
+    # empty; 1e-11 wide, every bracket passes its width test before the first step
+    @pytest.mark.parametrize("hi, centers, empty", [
+        (math.nextafter(1.0, 2.0), [c for c in range(65) if c not in (32, 33)], True),
+        (1.0 + 1e-11, list(range(65)), False),
+    ], ids=["no width", "narrower than TOL"])
+    def test_brackets_narrower_than_tol_match_the_scalar_solver(self, hi, centers, empty):
+        lo, grid = 1.0, optimize.scan_grid(1.0, hi)
+        assert (np.flatnonzero(np.diff(grid)).tolist() == [32]) == empty
+        # one well per row at its centre, and a second, shallower one at the far end
+        scans = (np.arange(65.0) - np.array(centers, dtype=float)[:, None]) ** 2
+        scans[:, -1] = np.minimum(scans[:, -1], 30.0)
+        points = []
+
+        def g(k, y):
+            points.append(y)
+            return (y - grid[centers[k]]) * 1e13
+
+        def objective(ks, ys):
+            return np.array([g(k, y) for k, y in zip(ks.tolist(), ys.tolist())], dtype=float)
+
+        got = optimize.minimize_scalar(objective, lo, hi, scans)
+        batch_points = points[:]
+        points.clear()
+        refs = [scalar_optimize.minimize_scalar(lambda y: g(k, y), lo, hi, row)
+                for k, row in enumerate(scans.tolist())]
+        assert _bits(got.x) == _bits([ref.x for ref in refs])
+        assert _bits(got.value) == _bits([ref.value for ref in refs])
+        assert got.status.tolist() == [ref.status for ref in refs]
+        assert got.evaluations == len(points) == len(batch_points)
+        assert (got.evaluations == 0) == empty
+
+    def test_an_empty_batch_solves_nothing(self):
+        def objective(ks, ys):
+            raise AssertionError("no objective to evaluate")
+
+        got = optimize.minimize_scalar(objective, 0.0, 1.0, np.zeros((0, optimize.COARSE)))
+        assert got.x.shape == got.value.shape == got.status.shape == (0,)
+        assert got.evaluations == 0
 
     def test_scan_values_of_the_wrong_length_rejected(self):
         for shape in [(1, 64), (65,), (1, 1, 65)]:  # too short a row, 1-D, 3-D

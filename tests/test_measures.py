@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -435,6 +436,49 @@ class TestGateOnTheBatchDraws:
         with pytest.raises(SamplerValidationError,
                            match=r"^grey sampler: worst deviation \d+\.\d\d sigma > 4\.61$"):
             run_grey_check("integrability", n=40_000)
+
+    def test_a_failed_gate_is_retested_once_on_as_many_fresh_draws(self, monkeypatch):
+        # the first grading fails, as a correct sampler's does on 6.3e-5 of seeds
+        plain = run_grey_check("integrability", n=100_000)
+        rows, graded, true_validate = [], [], measures.validate_sampler
+        true_sample = measures.sample
+
+        def counted(model, n, rng=None):
+            rows.append(n)
+            return true_sample(model, n, rng)
+
+        def failing_once(model, n, *, sums):
+            graded.append(n)
+            if len(graded) == 1:
+                raise SamplerValidationError("grey sampler: worst deviation 5.02 sigma > 4.61")
+            return true_validate(model, n, sums=sums)
+
+        monkeypatch.setattr(measures, "sample", counted)
+        monkeypatch.setattr(measures, "validate_sampler", failing_once)
+        got = run_grey_check("integrability", n=100_000)
+        assert got == plain and got.batch_means == plain.batch_means
+        assert rows == [12_500] * (2 * measures.N_BATCHES)
+        assert graded == [100_000, 100_000]
+        # non-finite draws refuse at once, without a retest
+        rows[:], graded[:] = [], []
+        monkeypatch.setattr(measures, "validate_sampler", true_validate)
+        monkeypatch.setattr(measures, "sample", spoiled_sampler(counted))
+        with pytest.raises(SamplerValidationError, match="draws are not finite$"):
+            run_grey_check("integrability", n=100_000)
+        assert rows == [12_500] * measures.N_BATCHES
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_sampler_of_another_lambda_is_refused_at_the_verify_all_size(self, seed,
+                                                                          monkeypatch):
+        # draws of lambda 0.7 graded against L_0.5: 7.7-10.0 sigma on the first set of
+        # draws for seeds 0-7, so the retest fails too
+        true_sample = measures.sample
+        monkeypatch.setattr(measures, "sample", lambda model, n, rng=None: true_sample(
+            dataclasses.replace(model, lam=model.lam + 0.2), n, rng))
+        m = MeasureModel(kind="grey", d=6, lam=0.5, sampler_seed=seed)
+        with pytest.raises(SamplerValidationError,
+                           match=r"^grey sampler: worst deviation \d+\.\d\d sigma > 4\.61$"):
+            integrability_check(m, power_exp(0.5), p=1.0, n=20_000)
 
     def test_threads_give_the_same_means_and_the_same_error(self, monkeypatch):
         # the batch sums are added in batch order, whichever thread made them

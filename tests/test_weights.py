@@ -357,6 +357,41 @@ class TestKernelsMatchTheFrozenScalarKernels:
         assert past == at
         assert type(u.log_eval(r_max)) is float
 
+    @pytest.mark.parametrize("name", ["u*", "u* with a linear part"])
+    def test_u_star_kernel_at_its_knots_below_them_and_at_r_max(self, name):
+        u, oracle, _, bound = KERNELS[name]()
+        knots, coeffs, below = u._log_eval.args
+        # per knot, the radius nearest e^knot whose log is the knot in numpy and libm alike
+        near = np.exp(knots)[:, None] + np.arange(-8, 9) * np.spacing(np.exp(knots))[:, None]
+        hit = (np.log(near) == knots[:, None]) & (np.vectorize(math.log)(near) == knots[:, None])
+        found = hit.any(axis=1)
+        assert found.sum() >= 0.9 * len(knots) and found[-1]
+        rs = np.concatenate((
+            near[found, hit.argmax(axis=1)[found]],
+            below[0, 1:],  # the points of the linear part, its last one the first knot's radius
+            below[0, 1:] * 0.75,  # between them, and below the first
+            [1e-300, u.r_max],
+        ))
+        x = np.log(rs)
+        assert np.array_equal(x < knots[0], [math.log(r) < knots[0] for r in rs.tolist()])
+        want = np.array([oracle(r) for r in rs.tolist()])
+        got = u.log_eval(rs)
+        assert (np.abs(got - want) <= bound(rs, want)).all()
+        # the textbook lookup: clip searchsorted - 1 on all the knots into range
+        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+        s = np.maximum(x - knots[i], 0.0)
+        c0, c1, c2, c3 = coeffs[:, i]
+        (rp, vp), cubic = below, np.exp(c3 + s * (c2 + s * (c1 + s * c0)))
+        j = np.clip(np.searchsorted(rp, rs, side="right") - 1, 0, len(rp) - 2)
+        linear = vp[j] + (vp[j + 1] - vp[j]) * ((rs - rp[j]) / (rp[j + 1] - rp[j]))
+        assert _bits(got).tolist() == _bits(np.where(x < knots[0], linear, cubic)).tolist()
+        # radius 0 reads u*(0); an all-zero array sends the kernel an empty one
+        calls = []
+        counted = dataclasses.replace(
+            u, _log_eval=lambda r: calls.append(len(r)) or u._log_eval(r))
+        assert _bits(counted.log_eval(np.zeros(3))).tolist() == _bits([0.0] * 3).tolist()
+        assert calls == [0]
+
     @pytest.mark.parametrize("k, rs", [(3, [1.0, 6.6, 6.9]), (4, [0.5, 2.0, 3.0])],
                              ids=["bell(3)", "bell(4)"])
     def test_bell_past_a_double_raises_the_frozen_message(self, k, rs):
@@ -392,7 +427,8 @@ class TestOneKernelCall:
     def test_in_range_array_is_one_kernel_call(self, name):
         u = KERNELS[name]()[0]
         calls = []
-        counted = dataclasses.replace(u, _log_eval=lambda r: calls.append(len(r)) or u._log_eval(r))
+        counted = dataclasses.replace(
+            u, _log_eval=lambda r: calls.append(len(r)) or u._log_eval(r))
         frames = []
         for n in (10, 1000):
             # from far below the first knot up to r_max, so every branch runs
